@@ -15,7 +15,7 @@ out inside conversion). Rejections carry diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
@@ -49,8 +49,8 @@ __all__ = [
     "check_derivation",
     "derivation_to_doc",
     "derivation_from_doc",
-    "term_to_doc",
-    "term_from_doc",
+    "DERIVATION_FORMAT",
+    "RULES",
     "Verdict",
     "CheckResult",
     "TypingError",
@@ -69,6 +69,11 @@ __all__ = [
 
 CLIMB_CAP = 64
 
+RULES = (
+    "Nil", "Cons", "Var", "Pi", "Lam", "App", "Mty",
+    "Abs", "Conv", "Univ", "LevelLt", "Lvl", "Trans", "Cumul",
+)
+
 
 # ---------------------------------------------------------------------------
 # Derivation trees
@@ -84,13 +89,6 @@ class Derivation:
     term: Term | None
     ty: Term | None
     premises: tuple["Derivation", ...] = ()
-    side: tuple[tuple[str, object], ...] = ()
-
-    def side_value(self, key: str):
-        for k, v in self.side:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -446,110 +444,112 @@ def check_derivation(
 
 # ---------------------------------------------------------------------------
 # JSON documents
+#
+# A derivation is written as three tables whose entries refer to earlier
+# entries by index: ``terms`` (each distinct term once), ``ctxs`` (each
+# distinct context once, as a list of term indices) and ``nodes`` (each
+# distinct Derivation object once, in post-order, so the root is last).
+# Shared subderivations, which the checker emits in large numbers, are
+# therefore written and rebuilt once.
 
+DERIVATION_FORMAT = "ulevels-derivation-tables"
 
-def _level_to_doc(v: LevelValue) -> dict:
-    match v:
-        case Finite(n):
-            return {"tier": "finite", "n": n}
-        case OmegaPlus(n):
-            return {"tier": "omega", "n": n}
-    raise TypeError(f"Unexpected level value: {v!r}")
-
-
-def _level_from_doc(doc: dict) -> LevelValue:
-    if doc["tier"] == "finite":
-        return Finite(int(doc["n"]))
-    if doc["tier"] == "omega":
-        return OmegaPlus(int(doc["n"]))
-    raise ValueError(f"unknown level tier: {doc!r}")
-
-
-def term_to_doc(term: Term) -> dict:
-    match term:
-        case Var(ix):
-            return {"k": "Var", "ix": ix}
-        case Lvl(v):
-            return {"k": "Lvl", "value": _level_to_doc(v)}
-        case Mty():
-            return {"k": "Mty"}
-        case Pi(a, b):
-            return {"k": "Pi", "dom": term_to_doc(a), "cod": term_to_doc(b)}
-        case Lam(a, b):
-            return {"k": "Lam", "ann": term_to_doc(a), "body": term_to_doc(b)}
-        case App(a, b):
-            return {"k": "App", "fn": term_to_doc(a), "arg": term_to_doc(b)}
-        case Absurd(a, b):
-            return {"k": "Absurd", "ann": term_to_doc(a), "scrut": term_to_doc(b)}
-        case Univ(a):
-            return {"k": "Univ", "level": term_to_doc(a)}
-        case LevelLt(a):
-            return {"k": "LevelLt", "bound": term_to_doc(a)}
-    raise TypeError(f"Unexpected term in term_to_doc: {term!r}")
-
-
-def term_from_doc(doc: dict) -> Term:
-    k = doc["k"]
-    if k == "Var":
-        return Var(int(doc["ix"]))
-    if k == "Lvl":
-        return Lvl(_level_from_doc(doc["value"]))
-    if k == "Mty":
-        return Mty()
-    if k == "Pi":
-        return Pi(term_from_doc(doc["dom"]), term_from_doc(doc["cod"]))
-    if k == "Lam":
-        return Lam(term_from_doc(doc["ann"]), term_from_doc(doc["body"]))
-    if k == "App":
-        return App(term_from_doc(doc["fn"]), term_from_doc(doc["arg"]))
-    if k == "Absurd":
-        return Absurd(term_from_doc(doc["ann"]), term_from_doc(doc["scrut"]))
-    if k == "Univ":
-        return Univ(term_from_doc(doc["level"]))
-    if k == "LevelLt":
-        return LevelLt(term_from_doc(doc["bound"]))
-    raise ValueError(f"unknown term tag: {k!r}")
-
-
-def _node_to_doc(d: Derivation) -> dict:
-    doc = {
-        "rule": d.rule,
-        "ctx": [term_to_doc(t) for t in d.ctx],
-        "term": None if d.term is None else term_to_doc(d.term),
-        "ty": None if d.ty is None else term_to_doc(d.ty),
-        "premises": [_node_to_doc(p) for p in d.premises],
-    }
-    if d.side:
-        doc["side"] = {
-            k: _level_to_doc(v) if isinstance(v, (Finite, OmegaPlus)) else v
-            for k, v in d.side
-        }
-    return doc
+_TERM_CLASSES = {
+    cls.__name__: cls for cls in (Mty, Pi, Lam, App, Absurd, Univ, LevelLt)
+}
+_LEVEL_TIERS = {"finite": Finite, "omega": OmegaPlus}
 
 
 def derivation_to_doc(d: Derivation, domain: LevelDomain = NAT_OMEGA) -> dict:
-    return {"domain": domain.name, "root": _node_to_doc(d)}
+    """Table document for ``d``; see :func:`derivation_from_doc`."""
+    tables: dict[str, list] = {"terms": [], "ctxs": [], "nodes": []}
+    written: dict[str, dict] = {name: {} for name in tables}
+
+    def add(table: str, key, build) -> int:
+        ix = written[table].get(key)
+        if ix is None:
+            entry = build()
+            ix = written[table][key] = len(tables[table])
+            tables[table].append(entry)
+        return ix
+
+    def term_entry(t: Term) -> dict:
+        match t:
+            case Var(i):
+                return {"k": "Var", "ix": i}
+            case Lvl(v):
+                tier = "finite" if isinstance(v, Finite) else "omega"
+                return {"k": "Lvl", "tier": tier, "n": v.n}
+        subterms = {f.name: term(getattr(t, f.name)) for f in fields(t)}
+        return {"k": type(t).__name__} | subterms
+
+    def term(t: Term | None) -> int | None:
+        return None if t is None else add("terms", t, lambda: term_entry(t))
+
+    def node(n: Derivation) -> int:
+        return add("nodes", id(n), lambda: {
+            "rule": n.rule,
+            "ctx": add("ctxs", n.ctx, lambda: [term(t) for t in n.ctx]),
+            "term": term(n.term),
+            "ty": term(n.ty),
+            "premises": [node(p) for p in n.premises],
+        })
+
+    node(d)
+    return {"format": DERIVATION_FORMAT, "domain": domain.name, **tables}
 
 
-def _node_from_doc(doc: dict) -> Derivation:
-    side = doc.get("side", {})
-    side_items = []
-    for k, v in side.items():
-        if isinstance(v, dict) and "tier" in v:
-            v = _level_from_doc(v)
-        side_items.append((k, v))
-    return Derivation(
-        rule=doc["rule"],
-        ctx=tuple(term_from_doc(t) for t in doc["ctx"]),
-        term=None if doc["term"] is None else term_from_doc(doc["term"]),
-        ty=None if doc["ty"] is None else term_from_doc(doc["ty"]),
-        premises=tuple(_node_from_doc(p) for p in doc["premises"]),
-        side=tuple(side_items),
-    )
+def _natural(value: object) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative int, got {value!r}")
+    return value
+
+
+def _ref(table: list, value: object):
+    """The entry of ``table`` (the entries loaded so far) at ``value``."""
+    if _natural(value) >= len(table):
+        raise ValueError(f"index {value} does not point to an earlier entry")
+    return table[value]
+
+
+def _term_from_entry(entry: dict, terms: list[Term]) -> Term:
+    k = entry["k"]
+    if k == "Var":
+        return Var(_natural(entry["ix"]))
+    if k == "Lvl":
+        return Lvl(_LEVEL_TIERS[entry["tier"]](_natural(entry["n"])))
+    cls = _TERM_CLASSES.get(k)
+    if cls is None:
+        raise ValueError(f"unknown term tag: {k!r}")
+    return cls(*(_ref(terms, entry[f.name]) for f in fields(cls)))
 
 
 def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
-    return _node_from_doc(doc["root"]), domain_named(doc["domain"])
+    """Rebuild the derivation and domain of a :func:`derivation_to_doc`
+    document, sharing each node, context and term as the tables do.
+    Raises ValueError on anything else, including indices that do not
+    point to an earlier entry."""
+    if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
+        raise ValueError("not a derivation document: no known format marker")
+    try:
+        terms: list[Term] = []
+        for entry in doc["terms"]:
+            terms.append(_term_from_entry(entry, terms))
+        ctxs = [tuple(_ref(terms, i) for i in c) for c in doc["ctxs"]]
+        nodes: list[Derivation] = []
+        for entry in doc["nodes"]:
+            if entry["rule"] not in RULES:
+                raise ValueError(f"unknown rule: {entry['rule']!r}")
+            ctx = _ref(ctxs, entry["ctx"])
+            term, ty = (
+                None if entry[k] is None else _ref(terms, entry[k])
+                for k in ("term", "ty")
+            )
+            premises = tuple(_ref(nodes, p) for p in entry["premises"])
+            nodes.append(Derivation(entry["rule"], ctx, term, ty, premises))
+        return nodes[-1], domain_named(doc["domain"])
+    except (KeyError, IndexError, TypeError) as e:
+        raise ValueError(f"malformed derivation document: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +601,13 @@ class LevelOrder:
                     self.edges[Var(ix)] = bound
 
     def path(self, src: Term, dst: Term) -> list[Term] | None:
-        """Nodes visited from ``src`` to ``dst`` inclusive, or None."""
+        """Nodes visited from ``src`` to ``dst`` inclusive, over at least
+        one hop (so ``src`` is never below itself for free), or None."""
         seen = {src}
         frontier: list[list[Term]] = [[src]]
         while frontier:
             trail = frontier.pop(0)
             node = trail[-1]
-            if alpha_equal(node, dst):
-                return trail
             hops: list[Term] = []
             nxt = self.edges.get(node)
             if nxt is not None:
@@ -620,6 +619,8 @@ class LevelOrder:
                 case _:
                     pass
             for hop in hops:
+                if alpha_equal(hop, dst):
+                    return trail + [hop]
                 if hop not in seen:
                     seen.add(hop)
                     frontier.append(trail + [hop])
@@ -697,7 +698,6 @@ class TypeChecker:
             d.term,
             target,
             (d, d_target),
-            (("fuel", self.fuel),),
         )
 
     def _univ_typing(self, ctx: Context, level: Term) -> Derivation:
@@ -786,7 +786,6 @@ class TypeChecker:
                             lo,
                             LevelLt(hi),
                             (self.ctx_derivation(ctx),),
-                            (("lo", va), ("hi", vb)),
                         )
                 raise TypingError(
                     f"no literal step from {brief(lo)} to {brief(hi)}"
@@ -810,11 +809,10 @@ class TypeChecker:
                 a,
                 LevelLt(b),
                 (self.ctx_derivation(ctx),),
-                (("lo", va), ("hi", vb)),
             )
         order = LevelOrder(ctx, self.domain, self.fuel)
         trail = order.path(a, b)
-        if trail is not None and len(trail) >= 2:
+        if trail is not None:
             d = self._edge_derivation(ctx, trail[0], trail[1])
             for nxt in trail[2:]:
                 step = self._edge_derivation(ctx, d.ty.bound, nxt)
@@ -956,7 +954,6 @@ class TypeChecker:
                     t,
                     ty,
                     (self.ctx_derivation(ctx),),
-                    (("lo", v), ("hi", up.value)),
                 )
             case Mty():
                 zero = Lvl(self.domain.zero())
@@ -1093,7 +1090,6 @@ class TypeChecker:
                             t,
                             LevelLt(nb),
                             (self.ctx_derivation(ctx),),
-                            (("lo", v), ("hi", w)),
                         )
                         return self._conv_to(d, expected)
                     case _:

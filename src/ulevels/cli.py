@@ -32,6 +32,13 @@ EXIT_USAGE = 2
 EXIT_FUEL = 3
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulevels",
@@ -57,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--fuel",
-            type=int,
+            type=non_negative_int,
             default=None,
             help="step budget (overrides the file's #fuel pragma)",
         )
@@ -79,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="run a randomized property suite")
     p_fuzz.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_fuzz.add_argument("--cases", type=int, default=200)
+    p_fuzz.add_argument("--cases", type=non_negative_int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--max-size", type=int, default=14)
     p_fuzz.add_argument("--raw-size", type=int, default=12)
     p_fuzz.add_argument("--domain", choices=sorted(DOMAINS), default="nat-omega")
-    p_fuzz.add_argument("--fuel", type=int, default=None)
+    p_fuzz.add_argument("--fuel", type=non_negative_int, default=None)
     return parser
 
 

@@ -33,6 +33,7 @@ from typing import Callable, Iterator
 
 from . import subst
 from .checker import (
+    RULES,
     Derivation,
     FuelError,
     TypingError,
@@ -86,11 +87,6 @@ __all__ = [
     "broken_substitution",
     "RULES",
 ]
-
-RULES = (
-    "Nil", "Cons", "Var", "Pi", "Lam", "App", "Mty",
-    "Abs", "Conv", "Univ", "LevelLt", "Lvl", "Trans", "Cumul",
-)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,13 @@ def test_level_lt_check_walks_context_bounds():
     assert not level_lt_check(ctx, OMEGA, Var(0))
 
 
+def test_level_is_not_below_itself():
+    ctx = (LevelLt(Lvl(Finite(1))),)
+    assert not level_lt_check(ctx, Var(0), Var(0))
+    assert not TypeChecker().level_below(ctx, Var(0), Var(0))
+    rejected(ctx, Var(0), LevelLt(Var(0)))
+
+
 def test_level_lt_check_concrete_and_reducible():
     redex = App(Lam(LevelLt(Lvl(Finite(10))), Var(0)), Lvl(Finite(2)))
     assert level_lt_check((), redex, Lvl(Finite(5)))
@@ -258,7 +265,6 @@ def test_check_derivation_rejects_non_strict_literal_bound():
         Lvl(Finite(3)),
         LevelLt(Lvl(Finite(3))),
         (nil(),),
-        (("lo", Finite(3)), ("hi", Finite(3))),
     )
     report = check_derivation(bad)
     assert not report.ok
@@ -382,3 +388,66 @@ def test_derivation_json_roundtrip():
     assert back == d
     assert domain is NAT_OMEGA
     assert check_derivation(back, domain).ok
+    assert len(distinct_nodes(back)) == len(doc["nodes"]) == len(distinct_nodes(d))
+
+
+def distinct_nodes(d: Derivation) -> dict[int, Derivation]:
+    seen: dict[int, Derivation] = {}
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.premises)
+    return seen
+
+
+def _small_doc():
+    ctx = (LevelLt(OMEGA),)
+    return derivation_to_doc(accepted(ctx, Var(0), LevelLt(OMEGA)))
+
+
+def _last(doc):
+    return doc["nodes"][-1]
+
+
+CORRUPTIONS = {
+    "no-marker": lambda doc: doc.pop("format"),
+    "unknown-marker": lambda doc: doc.update(format="ulevels-derivation-trees"),
+    "no-nodes": lambda doc: doc.update(nodes=[]),
+    "negative-premise": lambda doc: _last(doc).update(premises=[-1]),
+    "self-premise": lambda doc: _last(doc).update(premises=[len(doc["nodes"]) - 1]),
+    "float-premise": lambda doc: _last(doc).update(premises=[0.0]),
+    "bool-premise": lambda doc: _last(doc).update(premises=[True]),
+    "ctx-out-of-range": lambda doc: _last(doc).update(ctx=len(doc["ctxs"])),
+    "negative-term": lambda doc: _last(doc).update(term=-1),
+    "string-type": lambda doc: _last(doc).update(ty="0"),
+    "unknown-rule": lambda doc: _last(doc).update(rule="Magic"),
+    "missing-premises": lambda doc: _last(doc).pop("premises"),
+    "ctx-term-out-of-range": lambda doc: doc["ctxs"].append([len(doc["terms"])]),
+    "unknown-term-tag": lambda doc: doc["terms"].append({"k": "Sigma"}),
+    "self-subterm": lambda doc: doc["terms"].append(
+        {"k": "Univ", "level": len(doc["terms"])}
+    ),
+    "negative-variable": lambda doc: doc["terms"].append({"k": "Var", "ix": -1}),
+    "unknown-level-tier": lambda doc: doc["terms"].append(
+        {"k": "Lvl", "tier": "huge", "n": 0}
+    ),
+    "unknown-domain": lambda doc: doc.update(domain="reals"),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_derivation_from_doc_rejects_malformed_documents(corrupt):
+    doc = _small_doc()
+    derivation_from_doc(doc)
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        derivation_from_doc(doc)
+
+
+def test_derivation_from_doc_rejects_tree_documents():
+    tree = {"domain": "nat-omega", "root": {
+        "rule": "Nil", "ctx": [], "term": None, "ty": None, "premises": []}}
+    with pytest.raises(ValueError, match="format marker"):
+        derivation_from_doc(tree)

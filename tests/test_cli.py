@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ulevels.checker import check_derivation, derivation_from_doc
 from ulevels.cli import run_cli
+from ulevels.surface import module_settings, parse, resolve_defs
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 GOOD = """\
 def Small : U 1 := U 0
@@ -164,6 +168,26 @@ def test_derive_to_file(tmp_path):
     assert doc["domain"] == "nat-omega"
 
 
+def test_derive_corpus_writes_each_shared_node_once(tmp_path):
+    sizes = {}
+    for path in sorted(CORPUS.glob("*.ttbfl")):
+        module = parse(path.read_text(encoding="utf-8"))
+        domain, fuel = module_settings(module)
+        for d, ty, body in resolve_defs(module, domain):
+            if d.expect_fail:
+                continue
+            out = tmp_path / f"{path.stem}.{d.name}.json"
+            assert run_cli(["derive", str(path), d.name, "--out", str(out)]) == 0
+            sizes[d.name] = out.stat().st_size
+            node, doc_domain = derivation_from_doc(json.loads(out.read_text()))
+            assert doc_domain is domain
+            assert check_derivation(node, domain, fuel).ok, d.name
+            assert (node.ctx, node.term, node.ty) == ((), body, ty), d.name
+    assert len(sizes) == 25
+    # The unfolded tree of this one-line definition took 843,644 bytes.
+    assert sizes["someType"] < 32_000
+
+
 def test_derive_rejected_definition(tmp_path, capsys):
     code = run_cli(["derive", write(tmp_path, BAD), "wrong"])
     assert code == 1
@@ -187,6 +211,24 @@ def test_fuzz_requires_known_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["fuzz", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(CORPUS / "identity.ttbfl"), "--fuel", "-5"],
+        ["eval", str(CORPUS / "reduction_demo.ttbfl"), "--fuel", "-1"],
+        ["reduce", str(CORPUS / "reduction_demo.ttbfl"), "--fuel", "-1"],
+        ["derive", str(CORPUS / "identity.ttbfl"), "--fuel", "-1"],
+        ["fuzz", "--suite", "diamond", "--fuel", "-1"],
+        ["fuzz", "--suite", "diamond", "--cases", "-3"],
+    ],
+)
+def test_negative_budget_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_usage_error_without_subcommand():
