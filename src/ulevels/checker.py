@@ -633,12 +633,17 @@ class TypeChecker:
     ``infer`` synthesizes a type; ``check`` pushes an expected type into
     introduction forms and otherwise subsumes the inferred type through
     conversion, cumulativity, and bound transitivity.
+
+    A checker is a cache scope: it keeps the derivation of every context
+    and every successful inference it has made, so judgments that share
+    subterms should share one checker.
     """
 
     def __init__(self, domain: LevelDomain = NAT_OMEGA, fuel: int = DEFAULT_FUEL):
         self.domain = domain
         self.fuel = fuel
         self._ctx_cache: dict[Context, Derivation] = {}
+        self._infer_cache: dict[tuple[Context, Term], tuple[Term, Derivation]] = {}
 
     # -- small utilities
 
@@ -931,7 +936,16 @@ class TypeChecker:
 
     def infer(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Synthesize a type and its derivation. Raises TypingError on
-        failure and FuelError when conversion gives out."""
+        failure and FuelError when conversion gives out.
+
+        Successes are memoized per checker: the result depends only on
+        the domain, the fuel, ``ctx`` and ``t``, so a repeated call
+        returns the same pair and emitted derivations share the node.
+        Failures are not cached."""
+        key = (ctx, t)
+        hit = self._infer_cache.get(key)
+        if hit is not None:
+            return hit
         match t:
             case Var(ix):
                 try:
@@ -940,7 +954,7 @@ class TypeChecker:
                     raise TypingError(
                         f"unbound variable: index {ix} at depth {len(ctx)}"
                     ) from None
-                return ty, Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
+                d = Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
             case Lvl(v):
                 if not self.domain.contains(v):
                     raise TypingError(
@@ -948,7 +962,7 @@ class TypeChecker:
                     )
                 up = Lvl(self.domain.next_above(v))
                 ty = LevelLt(up)
-                return ty, Derivation(
+                d = Derivation(
                     "Lvl",
                     ctx,
                     t,
@@ -958,9 +972,8 @@ class TypeChecker:
             case Mty():
                 zero = Lvl(self.domain.zero())
                 d_univ = self._univ_typing(ctx, zero)
-                return Univ(zero), Derivation(
-                    "Mty", ctx, t, Univ(zero), (d_univ,)
-                )
+                ty = Univ(zero)
+                d = Derivation("Mty", ctx, t, ty, (d_univ,))
             case Pi(dom, cod):
                 k_dom, d_dom = self.infer_universe(ctx, dom)
                 ctx2 = subst.ctx_extend(ctx, dom)
@@ -970,17 +983,15 @@ class TypeChecker:
                 d_dom2 = self._cumul_to(d_dom, k)
                 d_cod2 = self._cumul_to(d_cod, subst.shift(k, 1, 0))
                 ty = Univ(k)
-                return ty, Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
+                d = Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
             case Lam(ann, body):
                 _, d_ann = self.infer_universe(ctx, ann)
                 ctx2 = subst.ctx_extend(ctx, ann)
                 body_ty, d_body = self.infer(ctx2, body)
-                pi_ty = Pi(ann, body_ty)
-                k_pi, d_pi = self.infer_universe(ctx, pi_ty)
+                ty = Pi(ann, body_ty)
+                k_pi, d_pi = self.infer_universe(ctx, ty)
                 d_ann2 = self._cumul_to(d_ann, k_pi)
-                return pi_ty, Derivation(
-                    "Lam", ctx, t, pi_ty, (d_ann2, d_pi, d_body)
-                )
+                d = Derivation("Lam", ctx, t, ty, (d_ann2, d_pi, d_body))
             case App(fn, arg):
                 fn_ty, d_fn = self.infer(ctx, fn)
                 head = self._whnf(fn_ty)
@@ -996,9 +1007,7 @@ class TypeChecker:
                 if not res:
                     raise TypingError(f"argument mismatch: {res.message}")
                 ty = subst.subst1(head.cod, arg)
-                return ty, Derivation(
-                    "App", ctx, t, ty, (d_fn2, res.derivation)
-                )
+                d = Derivation("App", ctx, t, ty, (d_fn2, res.derivation))
             case Absurd(ann, scrut):
                 _, d_ann = self.infer_universe(ctx, ann)
                 res = self.check(ctx, scrut, Mty())
@@ -1008,22 +1017,22 @@ class TypeChecker:
                     raise TypingError(
                         f"absurdity scrutinee is not a refutation: {res.message}"
                     )
-                return ann, Derivation(
-                    "Abs", ctx, t, ann, (d_ann, res.derivation)
-                )
+                ty = ann
+                d = Derivation("Abs", ctx, t, ty, (d_ann, res.derivation))
             case Univ(level):
                 bound, d_level = self.infer_level(ctx, level)
                 ty = Univ(bound)
-                return ty, Derivation("Univ", ctx, t, ty, (d_level,))
+                d = Derivation("Univ", ctx, t, ty, (d_level,))
             case LevelLt(bound):
                 _, d_bound = self.infer_level(ctx, bound)
                 zero = Lvl(self.domain.zero())
                 d_univ = self._univ_typing(ctx, zero)
                 ty = Univ(zero)
-                return ty, Derivation(
-                    "LevelLt", ctx, t, ty, (d_univ, d_bound)
-                )
-        raise TypeError(f"Unexpected term in infer: {t!r}")
+                d = Derivation("LevelLt", ctx, t, ty, (d_univ, d_bound))
+            case _:
+                raise TypeError(f"Unexpected term in infer: {t!r}")
+        hit = self._infer_cache[key] = (ty, d)
+        return hit
 
     # -- checking
 

@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_fuzz.add_argument("--cases", type=non_negative_int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--max-size", type=int, default=14)
-    p_fuzz.add_argument("--raw-size", type=int, default=12)
+    p_fuzz.add_argument("--max-size", type=non_negative_int, default=14)
+    p_fuzz.add_argument("--raw-size", type=non_negative_int, default=12)
     p_fuzz.add_argument("--domain", choices=sorted(DOMAINS), default="nat-omega")
     p_fuzz.add_argument("--fuel", type=non_negative_int, default=None)
     return parser

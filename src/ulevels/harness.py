@@ -36,10 +36,10 @@ from .checker import (
     RULES,
     Derivation,
     FuelError,
+    TypeChecker,
     TypingError,
     Verdict,
     check,
-    infer_with_derivation,
 )
 from .levels import LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
 from .reduction import (
@@ -228,7 +228,10 @@ def _inhabit(rng: random.Random, ctx: Context, want: Term, domain: LevelDomain) 
     return None
 
 
-def gen_term(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int) -> Term:
+def gen_term(rng: random.Random, ctx: Context, tc: TypeChecker, budget: int) -> Term:
+    """Random well-typed term in ``ctx``; ``tc`` types redex arguments
+    and supplies the level domain."""
+    domain = tc.domain
     bot_ixs = _vars_of(ctx, lambda t: t == Mty())
     pi_ixs = _vars_of(ctx, lambda t: isinstance(t, Pi))
     options = [("lvl", 4), ("type", 3)]
@@ -252,15 +255,15 @@ def gen_term(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int)
         return gen_type(rng, ctx, domain, budget)
     if tag == "lam":
         dom = gen_type(rng, ctx, domain, max(1, budget // 3))
-        body = gen_term(rng, subst.ctx_extend(ctx, dom), domain, budget // 2)
+        body = gen_term(rng, subst.ctx_extend(ctx, dom), tc, budget // 2)
         return Lam(dom, body)
     if tag == "redex":
-        arg = gen_term(rng, ctx, domain, max(1, budget // 3))
-        arg_ty, _ = infer_with_derivation(ctx, arg, domain)
+        arg = gen_term(rng, ctx, tc, max(1, budget // 3))
+        arg_ty, _ = tc.infer(ctx, arg)
         if rng.random() < 0.4:
             body: Term = Var(0)
         else:
-            body = subst.shift(gen_term(rng, ctx, domain, max(1, budget // 3)), 1, 0)
+            body = subst.shift(gen_term(rng, ctx, tc, max(1, budget // 3)), 1, 0)
         return App(Lam(arg_ty, body), arg)
     if tag == "absurd":
         ann = gen_type(rng, ctx, domain, max(1, budget - 1))
@@ -269,12 +272,13 @@ def gen_term(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int)
     pi_ty = subst.ctx_lookup(ctx, pix)
     arg = _inhabit(rng, ctx, pi_ty.dom, domain)
     if arg is None:
-        return gen_term(rng, ctx, domain, max(1, budget - 1))
+        return gen_term(rng, ctx, tc, max(1, budget - 1))
     return App(Var(pix), arg)
 
 
-def _relax_type(rng: random.Random, ctx: Context, ty: Term, domain: LevelDomain, fuel: int) -> Term:
+def _relax_type(rng: random.Random, ctx: Context, ty: Term, tc: TypeChecker) -> Term:
     """Loosen an inferred type so checking has to subsume or convert."""
+    domain, fuel = tc.domain, tc.fuel
     roll = rng.random()
     if roll < 0.45:
         return ty
@@ -289,7 +293,7 @@ def _relax_type(rng: random.Random, ctx: Context, ty: Term, domain: LevelDomain,
             out = LevelLt(Lvl(_above(rng, domain, v)))
     if roll > 0.8:
         try:
-            u_ty, _ = infer_with_derivation(ctx, out, domain, fuel)
+            u_ty, _ = tc.infer(ctx, out)
         except TypingError:
             return out
         n_u, done_u = pars(u_ty, fuel)
@@ -305,16 +309,24 @@ def gen_case(
     domain: LevelDomain | None = None,
     closed: bool = False,
 ) -> GenCase:
-    domain = domain or domain_named(cfg.domain_name)
+    """Case ``index`` of ``cfg``. One checker types the whole case, so
+    the final check reuses every inference made while generating.
+    Raises FuelError when the fuel runs out before the judgment is
+    settled, and GenError when the checker rejects it."""
+    tc = TypeChecker(domain or domain_named(cfg.domain_name), cfg.fuel)
     rng = _rng_for(cfg, index)
-    ctx = () if closed else gen_context(rng, domain)
-    term = gen_term(rng, ctx, domain, cfg.max_size)
+    ctx = () if closed else gen_context(rng, tc.domain)
+    term = gen_term(rng, ctx, tc, cfg.max_size)
     try:
-        inferred, _ = infer_with_derivation(ctx, term, domain, cfg.fuel)
+        inferred, _ = tc.infer(ctx, term)
+    except FuelError:
+        raise
     except TypingError as e:
         raise GenError(f"case {index}: generated term failed inference: {e}") from e
-    ty = _relax_type(rng, ctx, inferred, domain, cfg.fuel)
-    res = check(ctx, term, ty, domain, cfg.fuel)
+    ty = _relax_type(rng, ctx, inferred, tc)
+    res = tc.check(ctx, term, ty)
+    if res.verdict is Verdict.UNDECIDED:
+        raise FuelError(f"case {index}: generated judgment undecided: {res.message}")
     if res.verdict is not Verdict.ACCEPTED or res.derivation is None:
         raise GenError(
             f"case {index}: generated judgment rejected: {res.message}"
@@ -438,6 +450,9 @@ class PropertyReport:
     cases: int
     failures: tuple[str, ...]
     undecided: int
+    # Cases checked against a substitute for the exhaustive reduct set
+    # (subject reduction: the complete development, when it explodes).
+    fallbacks: int
     digest: str
     elapsed: float
     coverage: tuple[tuple[str, float], ...] = ()
@@ -450,7 +465,8 @@ class PropertyReport:
         lines = [
             f"suite={self.suite} cases={self.cases} "
             f"failures={len(self.failures)} undecided={self.undecided} "
-            f"digest={self.digest} elapsed={self.elapsed:.2f}s"
+            f"fallbacks={self.fallbacks} digest={self.digest} "
+            f"elapsed={self.elapsed:.2f}s"
         ]
         for rule, frac in self.coverage:
             lines.append(f"  rule {rule}: {100.0 * frac:.2f}% of cases")
@@ -466,6 +482,7 @@ class _Tally:
         self.suite = suite
         self.failures: list[str] = []
         self.undecided = 0
+        self.fallbacks = 0
         self._hash = hashlib.sha256()
         self._start = time.monotonic()
 
@@ -481,6 +498,7 @@ class _Tally:
             cases=cases,
             failures=tuple(self.failures),
             undecided=self.undecided,
+            fallbacks=self.fallbacks,
             digest=self._hash.hexdigest()[:16],
             elapsed=time.monotonic() - self._start,
             coverage=coverage,
@@ -511,6 +529,7 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
             try:
                 reducts = par_reducts(case.term, cap=4000)
             except ParExplosion:
+                tally.fallbacks += 1
                 reducts = frozenset({complete_development(case.term)})
             for u in reducts:
                 if u == case.term:
@@ -690,6 +709,8 @@ def run_coverage(cfg: GenConfig) -> PropertyReport:
             produced += 1
             for rule in rules_in(case.derivation):
                 counts[rule] += 1
+        except FuelError:
+            tally.undecided += 1
         except Exception as e:
             tally.fail(f"case {i}: internal error: {e!r}")
     coverage = tuple(

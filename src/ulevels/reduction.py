@@ -56,6 +56,18 @@ def _pairs(xs, ys, guard):
             yield x, y
 
 
+def _spender(cap: int):
+    """A guard for ``_pairs`` that raises ParExplosion on call cap+1."""
+    left = [cap]
+
+    def spend():
+        left[0] -= 1
+        if left[0] < 0:
+            raise ParExplosion(f"more than {cap} parallel reducts")
+
+    return spend
+
+
 def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
     """Every one-step parallel reduct of ``term`` (including ``term``:
     the relation is reflexive by congruence).
@@ -63,12 +75,7 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
     Exhaustive, so worst-case exponential in the number of nested
     applications; ``cap`` bounds the total work.
     """
-    budget = [cap]
-
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ParExplosion(f"more than {cap} parallel reducts")
+    spend = _spender(cap)
 
     def go(t: Term) -> frozenset[Term]:
         match t:
@@ -106,10 +113,37 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
 
 
 def par_step_check(before: Term, after: Term, cap: int = 1_000_000) -> bool:
-    """Does ``before`` parallel-step to ``after``? Decided by membership
-    in the exhaustively enumerated reduct set; meant for desk-scale
-    terms (the metatheory suites), not for the checker's hot path."""
-    return after in par_reducts(before, cap)
+    """Does ``before`` parallel-step to ``after``? Decided by structural
+    recursion on ``before`` (Takahashi's definition of the relation):
+    congruence compares heads and recurses. Only at a redex
+    ``App(Lam(A, b), s)`` that does not step to ``after`` by congruence
+    are the reducts of ``b`` and ``s`` enumerated and each ``subst1``
+    compared with ``after``; ``cap`` bounds each of those enumerations
+    and their product, as in ``par_reducts``."""
+    match before, after:
+        case (Var(_) | Lvl(_) | Mty()), _:
+            return before == after
+        case (
+            (Pi(a, b), Pi(x, y)) | (Lam(a, b), Lam(x, y)) | (Absurd(a, b), Absurd(x, y))
+        ):
+            return par_step_check(a, x, cap) and par_step_check(b, y, cap)
+        case (Univ(a), Univ(x)) | (LevelLt(a), LevelLt(x)):
+            return par_step_check(a, x, cap)
+        case App(fn, arg), _:
+            if (
+                isinstance(after, App)
+                and par_step_check(fn, after.fn, cap)
+                and par_step_check(arg, after.arg, cap)
+            ):
+                return True
+            if not isinstance(fn, Lam):
+                return False
+            bodies, args = par_reducts(fn.body, cap), par_reducts(arg, cap)
+            pairs = _pairs(bodies, args, _spender(cap))
+            return any(subst.subst1(body, a) == after for body, a in pairs)
+        case (Pi() | Lam() | Absurd() | Univ() | LevelLt()), _:
+            return False
+    raise TypeError(f"Unexpected term in par_step_check: {before!r}")
 
 
 def complete_development(term: Term) -> Term:

@@ -222,6 +222,8 @@ def test_fuzz_requires_known_suite(capsys):
         ["derive", str(CORPUS / "identity.ttbfl"), "--fuel", "-1"],
         ["fuzz", "--suite", "diamond", "--fuel", "-1"],
         ["fuzz", "--suite", "diamond", "--cases", "-3"],
+        ["fuzz", "--suite", "progress", "--cases", "5", "--max-size", "-3"],
+        ["fuzz", "--suite", "diamond", "--cases", "5", "--raw-size", "-3"],
     ],
 )
 def test_negative_budget_is_usage_error(argv, capsys):

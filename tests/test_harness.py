@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from ulevels.checker import check_derivation
+from ulevels import harness
+from ulevels.checker import Derivation, TypeChecker, check, check_derivation
 from ulevels.harness import (
     GenConfig,
     RULES,
@@ -18,6 +21,7 @@ from ulevels.harness import (
     shrink_term,
 )
 from ulevels.levels import NAT_OMEGA, domain_named
+from ulevels.reduction import ParExplosion
 from ulevels.subst import subst1
 from ulevels.terms import App, Lam, Lvl, Mty, Term, Var, term_size
 import random
@@ -37,6 +41,37 @@ def test_generated_cases_carry_valid_derivations():
         assert case.derivation.term == case.term
         assert case.derivation.ty == case.ty
         assert case.derivation.ctx == case.ctx
+
+
+def _tree_digest(d: Derivation, memo: dict[int, bytes]) -> bytes:
+    """Digest of the derivation read as a tree: equal digests mean equal
+    trees, however the nodes are shared."""
+    key = id(d)
+    if key not in memo:
+        h = hashlib.sha256(repr((d.rule, d.ctx, d.term, d.ty)).encode())
+        for p in d.premises:
+            h.update(_tree_digest(p, memo))
+        memo[key] = h.digest()
+    return memo[key]
+
+
+def test_generated_derivations_equal_a_fresh_check():
+    # gen_case types a whole case with one memoizing checker; the tree
+    # it emits must be the one a fresh checker emits for the judgment.
+    domain = domain_named(CFG.domain_name)
+    for case in gen_well_typed(CFG):
+        assert check_derivation(case.derivation, domain, CFG.fuel).ok
+        fresh = check(case.ctx, case.term, case.ty, domain, CFG.fuel)
+        assert _tree_digest(case.derivation, {}) == _tree_digest(fresh.derivation, {})
+
+
+def test_checker_returns_the_memoized_inference():
+    case = gen_case(CFG, 3)
+    tc = TypeChecker(domain_named(CFG.domain_name), CFG.fuel)
+    first = tc.infer(case.ctx, case.term)
+    again = tc.infer(case.ctx, case.term)
+    assert again is first
+    assert again[1] is first[1]
 
 
 def test_closed_generation_has_empty_contexts():
@@ -72,6 +107,27 @@ def test_suite_passes_on_healthy_kernel(suite):
     report = run_suite(suite, CFG)
     assert report.ok, report.summary()
     assert report.cases == CFG.cases
+
+
+@pytest.mark.parametrize(
+    "suite", ["subject-reduction", "progress", "canonicity", "consistency"]
+)
+def test_fuel_exhaustion_is_undecided_not_a_failure(suite):
+    report = run_suite(suite, GenConfig(seed=0, cases=50, fuel=0))
+    assert report.failures == (), report.summary()
+    assert report.undecided > 0
+
+
+def test_subject_reduction_counts_its_fallbacks(monkeypatch):
+    def explode(term, cap=0):
+        raise ParExplosion("forced")
+
+    cfg = GenConfig(seed=11, cases=20)
+    monkeypatch.setattr(harness, "par_reducts", explode)
+    report = run_suite("subject-reduction", cfg)
+    assert report.ok, report.summary()
+    assert report.fallbacks == cfg.cases
+    assert f"fallbacks={cfg.cases} " in report.summary()
 
 
 def test_suite_reports_are_reproducible():

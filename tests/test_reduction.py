@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
+import random
+
 from gen import terms
+from ulevels.harness import gen_raw
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
     Convertibility,
@@ -75,6 +78,24 @@ def test_par_step_check_frozen():
     assert par_step_check(t, Mty())
     assert not par_step_check(t, Var(0))
     assert not par_step_check(Mty(), t)
+
+
+def test_par_step_check_agrees_with_reduct_membership():
+    # Differential against the exhaustive enumeration: for every reduct
+    # u of t and every v among t's reducts (the complete development
+    # included), the structural decision matches membership.
+    answers = {True: 0, False: 0}
+    for i in range(1000):
+        t = gen_raw(random.Random(f"par-step/{i}"), 12)
+        reducts = par_reducts(t)
+        assert complete_development(t) in reducts
+        for u in reducts:
+            members = par_reducts(u)
+            for v in reducts:
+                got = par_step_check(u, v)
+                assert got == (v in members), (t, u, v)
+                answers[got] += 1
+    assert answers[True] > 0 and answers[False] > 0, answers
 
 
 @given(terms(free=2, budget=5))
