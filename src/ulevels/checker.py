@@ -634,9 +634,11 @@ class TypeChecker:
     introduction forms and otherwise subsumes the inferred type through
     conversion, cumulativity, and bound transitivity.
 
-    A checker is a cache scope: it keeps the derivation of every context
-    and every successful inference it has made, so judgments that share
-    subterms should share one checker.
+    A checker is a cache scope: it keeps the derivation of every context,
+    every successful inference and normal form, and the level order of
+    every context it has seen, so judgments that share subterms should
+    share one checker. Each cached value depends only on the domain, the
+    fuel and its key; failures are never cached.
     """
 
     def __init__(self, domain: LevelDomain = NAT_OMEGA, fuel: int = DEFAULT_FUEL):
@@ -644,13 +646,18 @@ class TypeChecker:
         self.fuel = fuel
         self._ctx_cache: dict[Context, Derivation] = {}
         self._infer_cache: dict[tuple[Context, Term], tuple[Term, Derivation]] = {}
+        self._norm_cache: dict[Term, Term] = {}
+        self._orders: dict[Context, LevelOrder] = {}
 
     # -- small utilities
 
     def _norm(self, t: Term) -> Term:
-        out, done = pars(t, self.fuel)
-        if not done:
-            raise FuelError(f"normalization ran out of fuel on {brief(t)}")
+        out = self._norm_cache.get(t)
+        if out is None:
+            out, done = pars(t, self.fuel)
+            if not done:
+                raise FuelError(f"normalization ran out of fuel on {brief(t)}")
+            self._norm_cache[t] = out
         return out
 
     def _whnf(self, t: Term) -> Term:
@@ -669,6 +676,12 @@ class TypeChecker:
 
     def _concrete(self, t: Term) -> LevelValue | None:
         return t.value if isinstance(t, Lvl) else None
+
+    def _order(self, ctx: Context) -> LevelOrder:
+        order = self._orders.get(ctx)
+        if order is None:
+            order = self._orders[ctx] = LevelOrder(ctx, self.domain, self.fuel)
+        return order
 
     # -- context judgments
 
@@ -754,8 +767,7 @@ class TypeChecker:
         va, vb = self._concrete(na), self._concrete(nb)
         if va is not None and vb is not None:
             return self.domain.lt(va, vb)
-        order = LevelOrder(ctx, self.domain, self.fuel)
-        if order.path(na, nb) is not None:
+        if self._order(ctx).path(na, nb) is not None:
             return True
         if depth <= 0:
             return False
@@ -815,8 +827,7 @@ class TypeChecker:
                 LevelLt(b),
                 (self.ctx_derivation(ctx),),
             )
-        order = LevelOrder(ctx, self.domain, self.fuel)
-        trail = order.path(a, b)
+        trail = self._order(ctx).path(a, b)
         if trail is not None:
             d = self._edge_derivation(ctx, trail[0], trail[1])
             for nxt in trail[2:]:
@@ -1037,12 +1048,19 @@ class TypeChecker:
     # -- checking
 
     def check(self, ctx: Context, t: Term, expected: Term) -> CheckResult:
+        """Accepted with a derivation, rejected with a diagnostic, or
+        undecided when the fuel or the interpreter's recursion limit
+        (input nested too deeply) gave out first."""
         try:
             d = self._check(ctx, t, expected)
         except FuelError as e:
             return CheckResult(Verdict.UNDECIDED, str(e))
         except TypingError as e:
             return CheckResult(Verdict.REJECTED, str(e))
+        except RecursionError:
+            return CheckResult(
+                Verdict.UNDECIDED, "resource limit: term nested too deeply to check"
+            )
         return CheckResult(Verdict.ACCEPTED, derivation=d)
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:

@@ -1,12 +1,14 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check or property failure, 2 usage or parse
-error, 3 fuel exhausted before an answer.
+error, 3 fuel (or the recursion limit, on deeply nested input) exhausted
+before an answer.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,6 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run_cli`` uses: built on first use, then shared,
+    since parsing arguments does not change it."""
+    return build_parser()
+
+
 def _load(path: str):
     with open(path, encoding="utf-8") as f:
         return parse(f.read())
@@ -172,7 +181,7 @@ def _cmd_derive(args) -> int:
         print(f"error: {d.name}: {res.message}", file=sys.stderr)
         return EXIT_FUEL
     doc = derivation_to_doc(res.derivation, domain)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -193,7 +202,9 @@ def _cmd_fuzz(args) -> int:
         kwargs["fuel"] = args.fuel
     report = run_suite(args.suite, GenConfig(**kwargs))
     print(report.summary())
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    if not report.ok:
+        return EXIT_CHECK_FAILED
+    return EXIT_FUEL if report.inconclusive else EXIT_OK
 
 
 _COMMANDS = {
@@ -206,7 +217,7 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SurfaceError, LevelSyntaxError) as e:
@@ -215,6 +226,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # Nesting that parsing and checking let through but a later
+        # recursive pass (resolution, printing, normalization, JSON
+        # emission) cannot follow.
+        print("error: resource limit: input nested too deeply", file=sys.stderr)
+        return EXIT_FUEL
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -456,6 +456,8 @@ class PropertyReport:
     digest: str
     elapsed: float
     coverage: tuple[tuple[str, float], ...] = ()
+    # Gates the sample could not decide because cases ran out of fuel.
+    inconclusive: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -470,6 +472,8 @@ class PropertyReport:
         ]
         for rule, frac in self.coverage:
             lines.append(f"  rule {rule}: {100.0 * frac:.2f}% of cases")
+        for msg in self.inconclusive:
+            lines.append(f"  UNDECIDED {msg}")
         for msg in self.failures[:10]:
             lines.append(f"  FAIL {msg}")
         if len(self.failures) > 10:
@@ -481,6 +485,7 @@ class _Tally:
     def __init__(self, suite: str):
         self.suite = suite
         self.failures: list[str] = []
+        self.inconclusive: list[str] = []
         self.undecided = 0
         self.fallbacks = 0
         self._hash = hashlib.sha256()
@@ -502,6 +507,7 @@ class _Tally:
             digest=self._hash.hexdigest()[:16],
             elapsed=time.monotonic() - self._start,
             coverage=coverage,
+            inconclusive=tuple(self.inconclusive),
         )
 
 
@@ -718,9 +724,15 @@ def run_coverage(cfg: GenConfig) -> PropertyReport:
     )
     for rule, frac in coverage:
         if frac < 0.01:
-            tally.fail(
-                f"rule {rule} appears in {100.0 * frac:.2f}% of cases (< 1%)"
-            )
+            msg = f"rule {rule} appears in {100.0 * frac:.2f}% of cases (< 1%)"
+            # Cases that ran out of fuel are missing from the sample, so
+            # a rare rule may be rare only because the fuel was short.
+            if tally.undecided:
+                tally.inconclusive.append(
+                    f"{msg}; {tally.undecided} cases ran out of fuel"
+                )
+            else:
+                tally.fail(msg)
     return tally.report(cfg.cases, coverage)
 
 

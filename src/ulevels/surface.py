@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .checker import Verdict, check
+from .checker import TypeChecker, Verdict
 from .levels import (
     LevelDomain,
     LevelSyntaxError,
@@ -292,7 +292,13 @@ class _Parser:
 
 
 def parse(source: str) -> Module:
-    return _Parser(lex(source)).module()
+    parser = _Parser(lex(source))
+    try:
+        return parser.module()
+    except RecursionError:
+        raise SurfaceError(
+            "input nested too deeply to parse", parser.peek().line
+        ) from None
 
 
 def parse_expr(source: str) -> tuple:
@@ -545,15 +551,18 @@ def check_module(
     domain_name: str | None = None,
     fuel: int | None = None,
 ) -> ModuleReport:
-    """Check every definition in order, inlining earlier ones."""
+    """Check every definition in order, inlining earlier ones. One
+    checker serves the whole module, so an inlined definition is typed
+    once; the verdicts are those of a fresh check per definition."""
     domain, chosen_fuel = module_settings(module, domain_name, fuel)
     chosen_domain = domain.name
+    checker = TypeChecker(domain, chosen_fuel)
     defs: dict[str, Term] = {}
     entries: list[DefReport] = []
     for d in module.defs:
         ty = resolve(d.ty, (), defs, domain)
         body = resolve(d.body, (), defs, domain)
-        res = check((), body, ty, domain, chosen_fuel)
+        res = checker.check((), body, ty)
         entries.append(
             DefReport(
                 name=d.name,

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ulevels import checker as checker_mod
 from ulevels.checker import (
     CheckResult,
     Derivation,
@@ -169,6 +170,46 @@ def test_level_is_not_below_itself():
     assert not level_lt_check(ctx, Var(0), Var(0))
     assert not TypeChecker().level_below(ctx, Var(0), Var(0))
     rejected(ctx, Var(0), LevelLt(Var(0)))
+
+
+def test_checker_builds_each_level_order_once(monkeypatch):
+    builds = []
+    build = checker_mod.LevelOrder.__init__
+
+    def counted(self, ctx, *args):
+        builds.append(ctx)
+        build(self, ctx, *args)
+
+    monkeypatch.setattr(checker_mod.LevelOrder, "__init__", counted)
+    outer = (LevelLt(Lvl(Finite(5))),)
+    inner = outer + (LevelLt(Var(0)),)
+    tc = TypeChecker()
+    for _ in range(3):
+        assert tc.level_below(outer, Var(0), Lvl(Finite(7)))
+        assert tc.level_below(inner, Var(0), Lvl(Finite(9)))
+        assert tc.check(inner, Var(0), LevelLt(Lvl(Finite(9))))
+        assert tc.check(inner, Var(1), LevelLt(Lvl(Finite(6))))
+    assert sorted(builds, key=len) == [outer, inner]
+
+
+def test_checker_memoizes_normal_forms_but_not_fuel_errors(monkeypatch):
+    calls = []
+    pars = checker_mod.pars
+
+    def counted(t, fuel):
+        calls.append(t)
+        return pars(t, fuel)
+
+    monkeypatch.setattr(checker_mod, "pars", counted)
+    redex = App(Lam(LevelLt(Lvl(Finite(10))), Var(0)), Lvl(Finite(2)))
+    tc = TypeChecker()
+    assert tc._norm(redex) == tc._norm(redex) == Lvl(Finite(2))
+    assert calls == [redex]
+    starved = TypeChecker(fuel=0)
+    for _ in range(2):
+        with pytest.raises(FuelError):
+            starved._norm(redex)
+    assert calls == [redex] * 3
 
 
 def test_level_lt_check_concrete_and_reducible():

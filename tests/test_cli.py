@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ulevels.checker import check_derivation, derivation_from_doc
-from ulevels.cli import run_cli
+from ulevels.cli import build_parser, run_cli
 from ulevels.surface import module_settings, parse, resolve_defs
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -231,6 +231,80 @@ def test_negative_budget_is_usage_error(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_fuzz_coverage_gate_is_undecided_at_low_fuel(capsys):
+    code = run_cli(["fuzz", "--suite", "coverage", "--cases", "50", "--fuel", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "UNDECIDED rule Conv" in out
+    assert "FAIL" not in out
+
+
+def test_fuzz_coverage_gate_fails_without_fuel_exhaustion(capsys):
+    code = run_cli(["fuzz", "--suite", "coverage", "--cases", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "undecided=0" in out
+    assert "FAIL rule Conv" in out
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls; hostile input
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    assert build_parser() is not build_parser()
+    path = write(tmp_path, "#domain nat\ndef lifted : U omega := U 3\n")
+    assert run_cli(["check", "--domain", "nat-omega", path]) == 0
+    assert capsys.readouterr().out.startswith("ok lifted : U omega\n")
+    assert run_cli(["check", path]) == 2
+    assert "omega" in capsys.readouterr().err
+
+    good = write(tmp_path, GOOD, "good.ttbfl")
+    out_path = tmp_path / "derivation.json"
+    assert run_cli(["derive", good, "Small", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(["derive", good, "Small"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(out_path.read_text())
+
+    assert run_cli(["check", good]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["check", good, "--fuel", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["check", good]) == 0
+    assert "checked 2 definitions: 2 ok" in capsys.readouterr().out
+
+
+AFTER = "def after : U 1 := U 0\n"
+
+
+@pytest.mark.parametrize(
+    "source, checks_after",
+    [
+        ("def parens : U 1 := " + "(" * 400 + "U 0" + ")" * 400 + "\n", False),
+        ("def bounds : U 0 := " + "Level< " * 600 + "0\n", True),
+        (
+            "def idt : Bot -> Bot := fun (x : Bot) . x\n"
+            "def apps : Bot -> Bot := fun (b : Bot) . "
+            + "idt (" * 300 + "b" + ")" * 300 + "\n",
+            True,
+        ),
+        ("def binders : U 1 := " + "Pi (a : U 0) . " * 500 + "a\n", False),
+    ],
+    ids=["parentheses", "level-bounds", "applications", "binders"],
+)
+def test_deep_nesting_keeps_the_exit_code_contract(tmp_path, capsys, source, checks_after):
+    code = run_cli(["check", write(tmp_path, source + AFTER)])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert "Traceback" not in captured.err
+    if checks_after:
+        assert "resource limit" in captured.out
+        assert "ok after : U 1" in captured.out
+    else:
+        assert "nested too deeply" in captured.err
 
 
 def test_usage_error_without_subcommand():

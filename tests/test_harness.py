@@ -110,7 +110,7 @@ def test_suite_passes_on_healthy_kernel(suite):
 
 
 @pytest.mark.parametrize(
-    "suite", ["subject-reduction", "progress", "canonicity", "consistency"]
+    "suite", ["subject-reduction", "progress", "canonicity", "consistency", "coverage"]
 )
 def test_fuel_exhaustion_is_undecided_not_a_failure(suite):
     report = run_suite(suite, GenConfig(seed=0, cases=50, fuel=0))

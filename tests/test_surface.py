@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from pathlib import Path
+
+from ulevels.checker import check
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
 from ulevels.surface import (
     Module,
@@ -12,6 +15,7 @@ from ulevels.surface import (
     check_module,
     format_report,
     lex,
+    module_settings,
     parse,
     parse_expr,
     pretty,
@@ -177,6 +181,64 @@ def test_failed_definitions_are_not_usable_later():
     )
     with pytest.raises(SurfaceError, match="unknown identifier"):
         check_module(mod)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# Rejected and #fail definitions between accepted ones that inline
+# earlier definitions.
+MIXED_SOURCE = """\
+def Small : U 1 := U 0
+def wrong : U 0 := U 0
+def idS : Small -> Small := fun (x : Small) . x
+#fail
+def tooBig : Level< 2 := 5
+def badArg : U 1 := idS Small
+def twice : Small -> Small := fun (y : Small) . idS (idS y)
+#fail
+def notAType : U 0 := idS
+def lifted : U 2 := Small -> Small
+"""
+
+
+def fresh_checks(module):
+    """(name, verdict, message) of a fresh module-level check per
+    definition, inlining accepted definitions as check_module does."""
+    domain, fuel = module_settings(module)
+    defs, out = {}, []
+    for d in module.defs:
+        ty = resolve(d.ty, (), defs, domain)
+        body = resolve(d.body, (), defs, domain)
+        res = check((), body, ty, domain, fuel)
+        out.append((d.name, res.verdict, res.message))
+        if res and not d.expect_fail:
+            defs[d.name] = body
+    return out
+
+
+@pytest.mark.parametrize(
+    "source",
+    [MIXED_SOURCE] + [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.ttbfl"))],
+)
+def test_shared_module_checker_agrees_with_fresh_checks(source):
+    module = parse(source)
+    report = check_module(module)
+    got = [(e.name, e.verdict, e.message) for e in report.entries]
+    assert got == fresh_checks(module)
+
+
+def test_mixed_module_has_every_verdict_between_accepted_definitions():
+    report = check_module(parse(MIXED_SOURCE))
+    assert [(e.name, e.passed) for e in report.entries] == [
+        ("Small", True),
+        ("wrong", False),
+        ("idS", True),
+        ("tooBig", True),
+        ("badArg", False),
+        ("twice", True),
+        ("notAType", True),
+        ("lifted", True),
+    ]
 
 
 def test_explicit_arguments_override_pragmas():
