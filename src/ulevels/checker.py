@@ -15,7 +15,8 @@ out inside conversion). Rejections carry diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from enum import Enum
 
 from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
@@ -480,8 +481,7 @@ def derivation_to_doc(d: Derivation, domain: LevelDomain = NAT_OMEGA) -> dict:
             case Lvl(v):
                 tier = "finite" if isinstance(v, Finite) else "omega"
                 return {"k": "Lvl", "tier": tier, "n": v.n}
-        subterms = {f.name: term(getattr(t, f.name)) for f in fields(t)}
-        return {"k": type(t).__name__} | subterms
+        return {"k": type(t).__name__} | dict(zip(t.__match_args__, map(term, t)))
 
     def term(t: Term | None) -> int | None:
         return None if t is None else add("terms", t, lambda: term_entry(t))
@@ -512,16 +512,22 @@ def _ref(table: list, value: object):
     return table[value]
 
 
-def _term_from_entry(entry: dict, terms: list[Term]) -> Term:
+def _term_from_entry(
+    entry: dict, terms: list[Term], depths: list[int]
+) -> tuple[Term, int]:
+    """The term of ``entry`` and its nesting depth; ``depths`` holds the
+    depths of ``terms``."""
     k = entry["k"]
     if k == "Var":
-        return Var(_natural(entry["ix"]))
+        return Var(_natural(entry["ix"])), 1
     if k == "Lvl":
-        return Lvl(_LEVEL_TIERS[entry["tier"]](_natural(entry["n"])))
+        return Lvl(_LEVEL_TIERS[entry["tier"]](_natural(entry["n"]))), 1
     cls = _TERM_CLASSES.get(k)
     if cls is None:
         raise ValueError(f"unknown term tag: {k!r}")
-    return cls(*(_ref(terms, entry[f.name]) for f in fields(cls)))
+    refs = [entry[name] for name in cls.__match_args__]
+    subterms = [_ref(terms, i) for i in refs]
+    return cls(*subterms), 1 + max((depths[i] for i in refs), default=0)
 
 
 def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
@@ -533,8 +539,17 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
         raise ValueError("not a derivation document: no known format marker")
     try:
         terms: list[Term] = []
+        depths: list[int] = []
+        # Hashing a term recurses in C, past Python's recursion limit, and
+        # can overflow the stack; no recursive pass that writes documents
+        # reaches that limit, so a deeper term is refused, not built.
+        limit = sys.getrecursionlimit()
         for entry in doc["terms"]:
-            terms.append(_term_from_entry(entry, terms))
+            term, depth = _term_from_entry(entry, terms, depths)
+            if depth > limit:
+                raise ValueError(f"term nested deeper than {limit}")
+            terms.append(term)
+            depths.append(depth)
         ctxs = [tuple(_ref(terms, i) for i in c) for c in doc["ctxs"]]
         nodes: list[Derivation] = []
         for entry in doc["nodes"]:

@@ -106,7 +106,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as f:
-        return parse(f.read())
+        try:
+            source = f.read()
+        except UnicodeDecodeError as e:
+            raise SurfaceError(f"{path}: not valid UTF-8 (byte {e.start})") from None
+    return parse(source)
 
 
 def _target_def(module, args, domain):

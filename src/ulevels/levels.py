@@ -9,8 +9,9 @@ natural; order is lexicographic on (tier, offset). Both are cofinal:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+
+from .node import Node
 
 __all__ = [
     "Finite",
@@ -28,18 +29,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Node):
     """A natural number level."""
 
-    n: int
+    __slots__ = ()
+    __match_args__ = ("n",)
+
+    def __new__(cls, n: int) -> Finite:
+        return tuple.__new__(cls, (n,))
 
 
-@dataclass(frozen=True)
-class OmegaPlus:
+class OmegaPlus(Node):
     """The level omega + n, above every finite level."""
 
-    n: int
+    __slots__ = ()
+    __match_args__ = ("n",)
+
+    def __new__(cls, n: int) -> OmegaPlus:
+        return tuple.__new__(cls, (n,))
 
 
 LevelValue = Finite | OmegaPlus

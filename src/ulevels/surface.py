@@ -244,7 +244,7 @@ class _Parser:
         fuel: int | None = None
         defs: list[SurfaceDef] = []
         names: set[str] = set()
-        pending_fail = False
+        pending_fail: Token | None = None
         while True:
             tok = self.peek()
             if tok.kind == "eof":
@@ -259,7 +259,7 @@ class _Parser:
                         raise SurfaceError("fuel must be a number", num.line)
                     fuel = int(num.text)
                 else:
-                    pending_fail = True
+                    pending_fail = tok
                 continue
             if tok.kind == "kw" and tok.text == "def":
                 self.next()
@@ -274,20 +274,26 @@ class _Parser:
                 self.expect("coloneq", "':=' before the body")
                 body = self.expr()
                 defs.append(
-                    SurfaceDef(name.text, ty, body, pending_fail, name.line)
+                    SurfaceDef(
+                        name.text, ty, body, pending_fail is not None, name.line
+                    )
                 )
-                pending_fail = False
+                pending_fail = None
                 continue
             raise SurfaceError(
                 f"expected a pragma or definition, found {tok.text!r}", tok.line
             )
+        if pending_fail is not None:
+            raise SurfaceError("#fail is not followed by a definition", pending_fail.line)
         return Module(domain_name, fuel, tuple(defs))
 
     def _domain_name(self) -> str:
         parts = [self.expect("ident", "a domain name").text]
         while self.peek().kind == "minus":
             self.next()
-            parts.append(self.expect("ident", "a domain name part").text)
+            # ``omega`` lexes as a level literal, as in ``nat-omega``.
+            kind = "level" if self.peek().text == "omega" else "ident"
+            parts.append(self.expect(kind, "a domain name part").text)
         return "-".join(parts)
 
 

@@ -8,10 +8,10 @@ substitution module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .levels import LevelValue
+from .node import Node
 
 __all__ = [
     "Var",
@@ -34,67 +34,91 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     """A bound or context variable, by de Bruijn index."""
 
-    ix: int
+    __slots__ = ()
+    __match_args__ = ("ix",)
+
+    def __new__(cls, ix: int) -> Var:
+        return tuple.__new__(cls, (ix,))
 
 
-@dataclass(frozen=True)
-class Lvl:
+class Lvl(Node):
     """A concrete level literal."""
 
-    value: LevelValue
+    __slots__ = ()
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: LevelValue) -> Lvl:
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Node):
     """Dependent function type; ``cod`` binds one variable."""
 
-    dom: "Term"
-    cod: "Term"
+    __slots__ = ()
+    __match_args__ = ("dom", "cod")
+
+    def __new__(cls, dom: Term, cod: Term) -> Pi:
+        return tuple.__new__(cls, (dom, cod))
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Node):
     """Annotated abstraction; ``body`` binds one variable."""
 
-    ann: "Term"
-    body: "Term"
+    __slots__ = ()
+    __match_args__ = ("ann", "body")
+
+    def __new__(cls, ann: Term, body: Term) -> Lam:
+        return tuple.__new__(cls, (ann, body))
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Node):
+    __slots__ = ()
+    __match_args__ = ("fn", "arg")
+
+    def __new__(cls, fn: Term, arg: Term) -> App:
+        return tuple.__new__(cls, (fn, arg))
 
 
-@dataclass(frozen=True)
-class Mty:
+class Mty(Node):
     """The empty type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Absurd:
+    def __new__(cls) -> Mty:
+        return tuple.__new__(cls)
+
+
+class Absurd(Node):
     """Eliminate a proof of the empty type at the annotated type."""
 
-    ann: "Term"
-    scrut: "Term"
+    __slots__ = ()
+    __match_args__ = ("ann", "scrut")
+
+    def __new__(cls, ann: Term, scrut: Term) -> Absurd:
+        return tuple.__new__(cls, (ann, scrut))
 
 
-@dataclass(frozen=True)
-class Univ:
+class Univ(Node):
     """The universe at the given level term."""
 
-    level: "Term"
+    __slots__ = ()
+    __match_args__ = ("level",)
+
+    def __new__(cls, level: Term) -> Univ:
+        return tuple.__new__(cls, (level,))
 
 
-@dataclass(frozen=True)
-class LevelLt:
+class LevelLt(Node):
     """The type of levels strictly below the given bound term."""
 
-    bound: "Term"
+    __slots__ = ()
+    __match_args__ = ("bound",)
+
+    def __new__(cls, bound: Term) -> LevelLt:
+        return tuple.__new__(cls, (bound,))
 
 
 Term = Union[Var, Lvl, Pi, Lam, App, Mty, Absurd, Univ, LevelLt]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -475,6 +476,10 @@ CORRUPTIONS = {
         {"k": "Lvl", "tier": "huge", "n": 0}
     ),
     "unknown-domain": lambda doc: doc.update(domain="reals"),
+    "nested-too-deep": lambda doc: doc["terms"].extend(
+        {"k": "Univ", "level": i}
+        for i in range(len(doc["terms"]) - 1, sys.getrecursionlimit() + 9)
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,31 @@ def test_check_missing_file_is_usage_error(tmp_path, capsys):
     code = run_cli(["check", str(tmp_path / "absent.ttbfl")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_nat_omega_domain_pragma(tmp_path, capsys):
+    source = "#domain nat-omega\ndef a : U 1 := U 0\ndef b : Level< omega := 3\n"
+    code = run_cli(["check", write(tmp_path, source)])
+    assert capsys.readouterr().out.startswith("ok a : U 1\nok b : Level< omega\n")
+    assert code == 0
+
+
+def test_check_dangling_fail_is_usage_error(tmp_path, capsys):
+    code = run_cli(["check", write(tmp_path, "def a : U 0 := Bot\n#fail\n")])
+    assert code == 2
+    assert "error: line 2: #fail is not followed by a definition" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "reduce", "derive"])
+def test_invalid_utf8_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "input.ttbfl"
+    path.write_bytes(b"def a : U 1 := U 0\n-- \xff\n")
+    code = run_cli([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not valid UTF-8 (byte 22)" in err
 
 
 def test_check_domain_flag_overrides_pragma(tmp_path, capsys):
@@ -311,3 +337,72 @@ def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 2
+
+
+def random_expr(rng: random.Random, depth: int, bound: tuple[str, ...] = ()) -> str:
+    """Surface text that is mostly well formed but seldom well typed."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("U 0", "U 1", "Bot", "0", "omega", "a") + bound)
+    x = f"x{len(bound)}"
+
+    def sub(scope: tuple[str, ...] = bound) -> str:
+        return random_expr(rng, depth - 1, scope)
+
+    shapes = (
+        lambda: f"Pi ({x} : {sub()}) . {sub(bound + (x,))}",
+        lambda: f"fun ({x} : {sub()}) . {sub(bound + (x,))}",
+        lambda: f"({sub()} -> {sub()})",
+        lambda: f"({sub()} {sub()})",
+        lambda: f"U ({sub()})",
+        lambda: f"Level< ({sub()})",
+        lambda: f"absurd [{sub()}] ({sub()})",
+    )
+    return rng.choice(shapes)()
+
+
+PRAGMAS = ("", "#domain nat\n", "#domain nat-omega\n", "#fuel 3\n", "#fail\n")
+TOWERS = (
+    "(", "Level< ", "Pi (b : U 0) . ", "fun (x : Bot) . ", "U ", "a (",
+    "absurd [Bot] ", "U 0 -> ",
+)
+
+
+def hostile_inputs(count: int, seed: int = 20_251_018):
+    """Random bytes; random definitions, some with a byte changed,
+    inserted or dropped; and nesting towers."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 0:
+            yield bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+            continue
+        source = bytearray(
+            f"{rng.choice(PRAGMAS)}def a : U 1 := U 0\n{rng.choice(PRAGMAS)}"
+            f"def t : {random_expr(rng, 3)} := {random_expr(rng, 4)}\n".encode()
+        )
+        if i % 4 == 1:
+            at = rng.randrange(len(source))
+            match rng.randrange(3):
+                case 0:
+                    source[at] = rng.randrange(256)
+                case 1:
+                    source.insert(at, rng.randrange(256))
+                case 2:
+                    del source[at]
+        yield bytes(source)
+    for tower in TOWERS:
+        for depth in (40, 400, 1500):
+            yield f"def a : U 1 := U 0\ndef t : U 2 := {tower * depth}a\n".encode()
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "reduce", "derive"])
+def test_hostile_input_keeps_the_exit_code_contract(tmp_path, capsys, command):
+    path = tmp_path / "input.ttbfl"
+    seen = set()
+    for source in hostile_inputs(240):
+        path.write_bytes(source)
+        code = run_cli([command, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), source
+        assert "Traceback" not in err, source
+        seen.add(code)
+    assert {0, 1, 2, 3} <= seen

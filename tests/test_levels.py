@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -153,3 +156,37 @@ def test_zero_and_sampling_stay_in_domain():
         assert below is not None and NAT_OMEGA.lt(below, OmegaPlus(2))
     assert NAT.sample_below(rng, Finite(0)) is None
     assert NAT_OMEGA.sample_below(rng, Finite(0)) is None
+
+
+# ---------------------------------------------------------------------------
+# Level values follow the node contract of terms.
+
+
+@pytest.mark.parametrize(
+    "value, text", [(Finite(0), "Finite(n=0)"), (OmegaPlus(3), "OmegaPlus(n=3)")]
+)
+def test_level_value_node_contract(value, text):
+    assert repr(value) == text
+    assert hash(value) == hash((value.n,))
+    with pytest.raises(AttributeError):
+        value.n = 1
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(TypeError):
+        value < value
+    for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value
+    match value:
+        case Finite(n) | OmegaPlus(n):
+            assert n == value.n
+        case _:
+            pytest.fail("no pattern matched")
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_tiers_with_equal_offsets_are_unequal(n):
+    a, b = Finite(n), OmegaPlus(n)
+    assert hash(a) == hash(b)
+    assert not a == b and a != b
+    assert not b == a and b != a
+    assert len({a, b}) == 2

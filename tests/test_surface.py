@@ -154,6 +154,15 @@ def test_parse_module_pragmas_and_fail_marker():
     assert [d.expect_fail for d in mod.defs] == [False, True]
 
 
+def test_parse_nat_omega_domain_pragma():
+    assert parse("#domain nat-omega\n").domain_name == "nat-omega"
+
+
+def test_dangling_fail_marker_rejected():
+    with pytest.raises(SurfaceError, match="line 2: #fail is not followed"):
+        parse("def a : U 0 := Bot\n#fail\n")
+
+
 def test_duplicate_definition_rejected():
     with pytest.raises(SurfaceError, match="duplicate"):
         parse("def a : U 1 := U 0\ndef a : U 1 := U 0\n")

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
+
+import pytest
 from hypothesis import given
 
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
-from ulevels.levels import Finite
+from ulevels.levels import Finite, OmegaPlus
 from ulevels.terms import (
     App,
     Absurd,
@@ -80,3 +85,112 @@ def test_term_size_counts_every_subterm(t):
 def test_term_size_frozen():
     assert term_size(Mty()) == 1
     assert term_size(App(Lam(Mty(), Var(0)), Mty())) == 5
+
+
+# ---------------------------------------------------------------------------
+# The node contract: equality is same class and equal fields, the hash is
+# the hash of the field tuple, and nodes are immutable and unordered.
+
+ONE_OF_EACH = [
+    Var(2),
+    Lvl(Finite(1)),
+    Pi(Univ(Lvl(Finite(0))), Var(0)),
+    Lam(Mty(), Var(0)),
+    App(Var(1), Mty()),
+    Mty(),
+    Absurd(Mty(), Var(0)),
+    Univ(Lvl(OmegaPlus(2))),
+    LevelLt(Var(1)),
+]
+
+
+def _name(node) -> str:
+    return type(node).__name__
+
+
+def _fields(node) -> tuple:
+    return tuple(getattr(node, name) for name in node.__match_args__)
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+def test_hash_is_the_hash_of_the_field_tuple(t):
+    assert hash(t) == hash(_fields(t))
+    assert t == type(t)(*_fields(t))
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (Var(2), "Var(ix=2)"),
+        (Mty(), "Mty()"),
+        (
+            Pi(Univ(Lvl(Finite(0))), Var(0)),
+            "Pi(dom=Univ(level=Lvl(value=Finite(n=0))), cod=Var(ix=0))",
+        ),
+        (LevelLt(Lvl(OmegaPlus(3))), "LevelLt(bound=Lvl(value=OmegaPlus(n=3)))"),
+        (
+            Absurd(App(Var(1), Mty()), Lam(Mty(), Var(0))),
+            "Absurd(ann=App(fn=Var(ix=1), arg=Mty()), "
+            "scrut=Lam(ann=Mty(), body=Var(ix=0)))",
+        ),
+    ],
+)
+def test_repr_is_pinned(t, text):
+    assert repr(t) == text
+
+
+SAME_ARITY = [
+    pair
+    for group in ((Var, Lvl, Univ, LevelLt), (Pi, Lam, App, Absurd))
+    for pair in itertools.combinations(group, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", SAME_ARITY, ids=[f"{a.__name__}-{b.__name__}" for a, b in SAME_ARITY]
+)
+def test_nodes_of_different_classes_are_unequal(a, b):
+    fields = (Mty(),) * len(a.__match_args__)
+    x, y = a(*fields), b(*fields)
+    assert hash(x) == hash(y)
+    assert not x == y and x != y
+    assert not y == x and y != x
+    assert len({x, y}) == 2
+    # Nor is a node equal to the plain tuple of its fields.
+    assert not x == fields and x != fields
+    assert not fields == x and fields != x
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+def test_nodes_are_immutable_and_unordered(t):
+    for name in t.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(t, name, Mty())
+    with pytest.raises(AttributeError):
+        t.extra = 0
+    with pytest.raises(TypeError):
+        t < t
+    with pytest.raises(TypeError):
+        t + t
+    assert bool(t)
+
+
+def test_empty_type_is_truthy():
+    assert bool(Mty())
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+def test_copies_and_pickles_are_equal(t):
+    for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(clone) is type(t)
+        assert clone == t and hash(clone) == hash(t)
+
+
+def test_positional_and_keyword_class_patterns_match():
+    match Pi(Univ(Lvl(Finite(1))), Var(0)):
+        case Lam(_, _):
+            pytest.fail("matched the wrong class")
+        case Pi(Univ(Lvl(Finite(n))), Var(ix=ix)):
+            assert (n, ix) == (1, 0)
+        case _:
+            pytest.fail("no pattern matched")
