@@ -862,24 +862,6 @@ class TypeChecker:
             f"level bound not established: {brief(a)} below {brief(b)}"
         )
 
-    def derive_level_below(self, ctx: Context, a: Term, b: Term) -> Derivation:
-        """Derivation of a : Level< b for arbitrary level terms; the
-        subject is first normalized through its own typing."""
-        na, nb = self._norm(a), self._norm(b)
-        if alpha_equal(na, a):
-            d = self._derive_level_below(ctx, a, nb)
-        else:
-            # The subject cannot be rewritten inside the judgment, so
-            # type it directly and move only the bound.
-            bound, d_a = self.infer_level(ctx, a)
-            nbound = self._norm(bound)
-            if self._conv(nbound, nb):
-                return self._conv_to(d_a, LevelLt(b))
-            d_lo = self._conv_to(d_a, LevelLt(nbound))
-            d_hi = self._derive_level_below(ctx, nbound, nb)
-            d = Derivation("Trans", ctx, a, LevelLt(nb), (d_lo, d_hi))
-        return self._conv_to(d, LevelLt(b))
-
     def _cumul_to(self, d: Derivation, target_level: Term) -> Derivation:
         """Lift d : A : U k to A : U target_level."""
         assert isinstance(d.ty, Univ)

@@ -64,6 +64,7 @@ from .terms import (
     Term,
     Univ,
     Var,
+    children,
     term_size,
 )
 
@@ -377,45 +378,17 @@ def gen_raw(rng: random.Random, size: int, free: int = 3) -> Term:
 _LEAF_SWAPS = (Mty(), Lvl(NAT_OMEGA.zero()))
 
 
-def _children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var(_) | Lvl(_) | Mty():
-            return ()
-        case Pi(a, b) | Lam(a, b) | App(a, b) | Absurd(a, b):
-            return (a, b)
-        case Univ(a) | LevelLt(a):
-            return (a,)
-    raise TypeError(f"Unexpected term: {t!r}")
-
-
-def _rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
-    match t:
-        case Pi(_, _):
-            return Pi(*kids)
-        case Lam(_, _):
-            return Lam(*kids)
-        case App(_, _):
-            return App(*kids)
-        case Absurd(_, _):
-            return Absurd(*kids)
-        case Univ(_):
-            return Univ(*kids)
-        case LevelLt(_):
-            return LevelLt(*kids)
-    raise TypeError(f"Unexpected term: {t!r}")
-
-
 def _shrink_candidates(t: Term) -> Iterator[Term]:
     for leaf in _LEAF_SWAPS:
         if t != leaf:
             yield leaf
-    kids = _children(t)
+    kids = children(t)
     for kid in kids:
         yield kid
     for i, kid in enumerate(kids):
         for smaller in _shrink_candidates(kid):
             if term_size(smaller) < term_size(kid):
-                yield _rebuild(t, kids[:i] + (smaller,) + kids[i + 1 :])
+                yield type(t)(*kids[:i], smaller, *kids[i + 1 :])
 
 
 def shrink_term(t: Term, still_fails: Callable[[Term], bool], budget: int = 400) -> Term:

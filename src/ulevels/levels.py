@@ -9,7 +9,6 @@ natural; order is lexicographic on (tier, offset). Both are cofinal:
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .node import Node
 
@@ -17,7 +16,6 @@ __all__ = [
     "Finite",
     "OmegaPlus",
     "LevelValue",
-    "Ordering",
     "LevelSyntaxError",
     "LevelDomain",
     "NatDomain",
@@ -50,12 +48,6 @@ class OmegaPlus(Node):
 
 
 LevelValue = Finite | OmegaPlus
-
-
-class Ordering(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
 
 
 class LevelSyntaxError(ValueError):
@@ -91,14 +83,6 @@ class LevelDomain:
     def lt(self, a: LevelValue, b: LevelValue) -> bool:
         """Strict order. Pre: both values belong to this domain."""
         return _key(a) < _key(b)
-
-    def compare(self, a: LevelValue, b: LevelValue) -> Ordering:
-        ka, kb = _key(a), _key(b)
-        if ka < kb:
-            return Ordering.LESS
-        if ka > kb:
-            return Ordering.GREATER
-        return Ordering.EQUAL
 
     def next_above(self, a: LevelValue) -> LevelValue:
         """A strictly larger level in the same tier."""

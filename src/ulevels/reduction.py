@@ -13,14 +13,9 @@ from .terms import (
     Absurd,
     App,
     Lam,
-    LevelLt,
-    Lvl,
-    Mty,
-    Pi,
     Term,
-    Univ,
-    Var,
     alpha_equal,
+    children,
     is_value,
     iter_subterms,
 )
@@ -78,36 +73,23 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
     spend = _spender(cap)
 
     def go(t: Term) -> frozenset[Term]:
-        match t:
-            case Var(_) | Lvl(_) | Mty():
-                return frozenset((t,))
-            case Pi(a, b):
-                return frozenset(
-                    Pi(x, y) for x, y in _pairs(go(a), go(b), spend)
-                )
-            case Lam(a, b):
-                return frozenset(
-                    Lam(x, y) for x, y in _pairs(go(a), go(b), spend)
-                )
-            case Absurd(a, b):
-                return frozenset(
-                    Absurd(x, y) for x, y in _pairs(go(a), go(b), spend)
-                )
-            case Univ(a):
-                return frozenset(Univ(x) for x in go(a))
-            case LevelLt(a):
-                return frozenset(LevelLt(x) for x in go(a))
-            case App(fn, arg):
-                args = go(arg)
-                out = set(App(x, y) for x, y in _pairs(go(fn), args, spend))
-                if isinstance(fn, Lam):
-                    # Firing the redex drops the annotation and
-                    # substitutes a reduct of the argument into a
-                    # reduct of the body.
-                    for body, a in _pairs(go(fn.body), args, spend):
-                        out.add(subst.subst1(body, a))
-                return frozenset(out)
-        raise TypeError(f"Unexpected term in par_reducts: {t!r}")
+        kids = children(t)
+        if not kids:
+            return frozenset((t,))
+        make = type(t)
+        if len(kids) == 1:
+            return frozenset(make(x) for x in go(kids[0]))
+        if make is not App:
+            pairs = _pairs(go(kids[0]), go(kids[1]), spend)
+            return frozenset(make(x, y) for x, y in pairs)
+        fn, args = kids[0], go(kids[1])
+        out = set(App(x, y) for x, y in _pairs(go(fn), args, spend))
+        if type(fn) is Lam:
+            # Firing the redex drops the annotation and substitutes a
+            # reduct of the argument into a reduct of the body.
+            for body, a in _pairs(go(fn.body), args, spend):
+                out.add(subst.subst1(body, a))
+        return frozenset(out)
 
     return go(term)
 
@@ -120,55 +102,37 @@ def par_step_check(before: Term, after: Term, cap: int = 1_000_000) -> bool:
     are the reducts of ``b`` and ``s`` enumerated and each ``subst1``
     compared with ``after``; ``cap`` bounds each of those enumerations
     and their product, as in ``par_reducts``."""
-    match before, after:
-        case (Var(_) | Lvl(_) | Mty()), _:
-            return before == after
-        case (
-            (Pi(a, b), Pi(x, y)) | (Lam(a, b), Lam(x, y)) | (Absurd(a, b), Absurd(x, y))
-        ):
-            return par_step_check(a, x, cap) and par_step_check(b, y, cap)
-        case (Univ(a), Univ(x)) | (LevelLt(a), LevelLt(x)):
-            return par_step_check(a, x, cap)
-        case App(fn, arg), _:
-            if (
-                isinstance(after, App)
-                and par_step_check(fn, after.fn, cap)
-                and par_step_check(arg, after.arg, cap)
-            ):
-                return True
-            if not isinstance(fn, Lam):
-                return False
-            bodies, args = par_reducts(fn.body, cap), par_reducts(arg, cap)
-            pairs = _pairs(bodies, args, _spender(cap))
-            return any(subst.subst1(body, a) == after for body, a in pairs)
-        case (Pi() | Lam() | Absurd() | Univ() | LevelLt()), _:
-            return False
-    raise TypeError(f"Unexpected term in par_step_check: {before!r}")
+    kids = children(before)
+    if not kids:
+        return before == after
+    if (
+        type(after) is type(before)
+        and par_step_check(kids[0], after[0], cap)
+        and (len(kids) == 1 or par_step_check(kids[1], after[1], cap))
+    ):
+        return True
+    fn = kids[0]
+    if type(before) is not App or type(fn) is not Lam:
+        return False
+    bodies, args = par_reducts(fn.body, cap), par_reducts(kids[1], cap)
+    pairs = _pairs(bodies, args, _spender(cap))
+    return any(subst.subst1(body, a) == after for body, a in pairs)
 
 
 def complete_development(term: Term) -> Term:
     """Fire every redex visible in ``term`` at once, innermost results
     feeding outer ones."""
-    match term:
-        case Var(_) | Lvl(_) | Mty():
-            return term
-        case Pi(a, b):
-            return Pi(complete_development(a), complete_development(b))
-        case Lam(a, b):
-            return Lam(complete_development(a), complete_development(b))
-        case Absurd(a, b):
-            return Absurd(complete_development(a), complete_development(b))
-        case Univ(a):
-            return Univ(complete_development(a))
-        case LevelLt(a):
-            return LevelLt(complete_development(a))
-        case App(Lam(_, body), arg):
-            return subst.subst1(
-                complete_development(body), complete_development(arg)
-            )
-        case App(fn, arg):
-            return App(complete_development(fn), complete_development(arg))
-    raise TypeError(f"Unexpected term in complete_development: {term!r}")
+    kids = children(term)
+    if not kids:
+        return term
+    if type(term) is App and type(kids[0]) is Lam:
+        return subst.subst1(
+            complete_development(kids[0].body), complete_development(kids[1])
+        )
+    first = complete_development(kids[0])
+    if len(kids) == 1:
+        return type(term)(first)
+    return type(term)(first, complete_development(kids[1]))
 
 
 def is_normal(term: Term) -> bool:

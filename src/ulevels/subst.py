@@ -10,24 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (
-    Absurd,
-    App,
-    Context,
-    Lam,
-    LevelLt,
-    Lvl,
-    Mty,
-    Pi,
-    Term,
-    Univ,
-    Var,
-)
+from .terms import Context, Term, Var, binders
 
 __all__ = [
     "shift",
     "Subst",
-    "identity_subst",
     "lift",
     "apply",
     "compose",
@@ -40,24 +27,15 @@ __all__ = [
 
 def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every free variable index at or above ``cutoff``."""
-    match term:
-        case Var(ix):
-            return Var(ix + by) if ix >= cutoff else term
-        case Lvl(_) | Mty():
-            return term
-        case Pi(dom, cod):
-            return Pi(shift(dom, by, cutoff), shift(cod, by, cutoff + 1))
-        case Lam(ann, body):
-            return Lam(shift(ann, by, cutoff), shift(body, by, cutoff + 1))
-        case App(fn, arg):
-            return App(shift(fn, by, cutoff), shift(arg, by, cutoff))
-        case Absurd(ann, scrut):
-            return Absurd(shift(ann, by, cutoff), shift(scrut, by, cutoff))
-        case Univ(level):
-            return Univ(shift(level, by, cutoff))
-        case LevelLt(bound):
-            return LevelLt(shift(bound, by, cutoff))
-    raise TypeError(f"Unexpected term in shift: {term!r}")
+    binds = binders(term)
+    if binds:
+        first = shift(term[0], by, cutoff + binds[0])
+        if len(binds) == 1:
+            return type(term)(first)
+        return type(term)(first, shift(term[1], by, cutoff + binds[1]))
+    if type(term) is Var and term[0] >= cutoff:
+        return Var(term[0] + by)
+    return term
 
 
 @dataclass(frozen=True)
@@ -73,35 +51,29 @@ class Subst:
         return Var(ix - len(self.prefix) + self.shift)
 
 
-def identity_subst() -> Subst:
-    return Subst((), 0)
-
-
 def lift(s: Subst) -> Subst:
     """Push a substitution under one binder: 0 stays, images move up."""
     moved = tuple(shift(t, 1, 0) for t in s.prefix)
     return Subst((Var(0),) + moved, s.shift + 1)
 
 
+def _under(s: Subst, binds: int) -> Subst:
+    """``s`` pushed under ``binds`` binders."""
+    for _ in range(binds):
+        s = lift(s)
+    return s
+
+
 def apply(s: Subst, term: Term) -> Term:
-    match term:
-        case Var(ix):
-            return s.image(ix)
-        case Lvl(_) | Mty():
-            return term
-        case Pi(dom, cod):
-            return Pi(apply(s, dom), apply(lift(s), cod))
-        case Lam(ann, body):
-            return Lam(apply(s, ann), apply(lift(s), body))
-        case App(fn, arg):
-            return App(apply(s, fn), apply(s, arg))
-        case Absurd(ann, scrut):
-            return Absurd(apply(s, ann), apply(s, scrut))
-        case Univ(level):
-            return Univ(apply(s, level))
-        case LevelLt(bound):
-            return LevelLt(apply(s, bound))
-    raise TypeError(f"Unexpected term in apply: {term!r}")
+    binds = binders(term)
+    if binds:
+        first = apply(_under(s, binds[0]), term[0])
+        if len(binds) == 1:
+            return type(term)(first)
+        return type(term)(first, apply(_under(s, binds[1]), term[1]))
+    if type(term) is Var:
+        return s.image(term[0])
+    return term
 
 
 def compose(outer: Subst, inner: Subst) -> Subst:
@@ -129,29 +101,18 @@ def subst1(body: Term, arg: Term) -> Term:
 def strengthen(term: Term, depth: int = 0) -> Term | None:
     """Remove the binder at ``depth``: None if ``Var(depth)`` occurs free,
     otherwise the term with indices above ``depth`` decremented."""
-    match term:
-        case Var(ix):
-            if ix == depth:
-                return None
-            return Var(ix - 1) if ix > depth else term
-        case Lvl(_) | Mty():
-            return term
-        case Pi(a, b) | Lam(a, b):
-            sa = strengthen(a, depth)
-            sb = strengthen(b, depth + 1)
-            if sa is None or sb is None:
-                return None
-            return type(term)(sa, sb)
-        case App(a, b) | Absurd(a, b):
-            sa = strengthen(a, depth)
-            sb = strengthen(b, depth)
-            if sa is None or sb is None:
-                return None
-            return type(term)(sa, sb)
-        case Univ(a) | LevelLt(a):
-            sa = strengthen(a, depth)
-            return None if sa is None else type(term)(sa)
-    raise TypeError(f"Unexpected term in strengthen: {term!r}")
+    binds = binders(term)
+    if binds:
+        first = strengthen(term[0], depth + binds[0])
+        if first is None:
+            return None
+        if len(binds) == 1:
+            return type(term)(first)
+        second = strengthen(term[1], depth + binds[1])
+        return None if second is None else type(term)(first, second)
+    if type(term) is Var and term[0] >= depth:
+        return None if term[0] == depth else Var(term[0] - 1)
+    return term
 
 
 def ctx_extend(ctx: Context, ty: Term) -> Context:

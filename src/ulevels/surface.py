@@ -30,6 +30,7 @@ from .levels import (
     domain_named,
 )
 from .reduction import DEFAULT_FUEL
+from .subst import strengthen
 from .terms import (
     Absurd,
     App,
@@ -431,7 +432,8 @@ def _pretty(term: Term, names: tuple[str | None, ...], required: int) -> str:
             )
             return _wrap(text, _PREC_APP, required)
         case Pi(dom, cod):
-            if not _mentions_binder(cod):
+            # An arrow when the codomain does not mention the binder.
+            if strengthen(cod) is not None:
                 text = (
                     f"{_pretty(dom, names, _PREC_APP)} -> "
                     f"{_pretty(cod, (None,) + names, _PREC_ARROW)}"
@@ -451,25 +453,6 @@ def _pretty(term: Term, names: tuple[str | None, ...], required: int) -> str:
             )
             return _wrap(text, _PREC_EXPR, required)
     raise TypeError(f"Unexpected term in pretty: {term!r}")
-
-
-def _mentions_binder(cod: Term) -> bool:
-    # Var(0) free anywhere in the codomain forces the named form.
-    def go(t: Term, depth: int) -> bool:
-        match t:
-            case Var(ix):
-                return ix == depth
-            case Lvl(_) | Mty():
-                return False
-            case Pi(a, b) | Lam(a, b):
-                return go(a, depth) or go(b, depth + 1)
-            case App(a, b) | Absurd(a, b):
-                return go(a, depth) or go(b, depth)
-            case Univ(a) | LevelLt(a):
-                return go(a, depth)
-        raise TypeError(f"Unexpected term: {t!r}")
-
-    return go(cod, 0)
 
 
 # ---------------------------------------------------------------------------

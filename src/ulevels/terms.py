@@ -25,9 +25,10 @@ __all__ = [
     "LevelLt",
     "Term",
     "Context",
+    "BINDS",
+    "binders",
+    "children",
     "is_value",
-    "free_above",
-    "is_closed",
     "alpha_equal",
     "term_size",
     "iter_subterms",
@@ -125,36 +126,40 @@ Term = Union[Var, Lvl, Pi, Lam, App, Mty, Absurd, Univ, LevelLt]
 
 Context = tuple[Term, ...]
 
+# The binding structure of the syntax: for each term class, how many
+# variables each subterm field binds, one entry per subterm field.
+# Subterm fields come first in every class, so traversals read them by
+# tuple index. Leaves have none: ``Var`` holds an index and ``Lvl`` a
+# level value, not terms.
+BINDS: dict[type, tuple[int, ...]] = {
+    Var: (),
+    Lvl: (),
+    Mty: (),
+    Pi: (0, 1),
+    Lam: (0, 1),
+    App: (0, 0),
+    Absurd: (0, 0),
+    Univ: (0,),
+    LevelLt: (0,),
+}
+
+
+def binders(term: Term) -> tuple[int, ...]:
+    """The ``BINDS`` entry of ``term``; TypeError for a non-term."""
+    try:
+        return BINDS[type(term)]
+    except KeyError:
+        raise TypeError(f"not a term: {term!r}") from None
+
+
+def children(term: Term) -> tuple[Term, ...]:
+    """The subterm fields of ``term`` in field order; () for a leaf."""
+    return term[: len(binders(term))]
+
 
 def is_value(term: Term) -> bool:
     """Weak-head values: every introduction and type former."""
     return isinstance(term, (Lvl, Pi, Lam, Mty, Univ, LevelLt))
-
-
-def free_above(term: Term, depth: int) -> bool:
-    """Does ``term`` mention a free variable with index >= ``depth``?"""
-    match term:
-        case Var(ix):
-            return ix >= depth
-        case Lvl(_) | Mty():
-            return False
-        case Pi(dom, cod):
-            return free_above(dom, depth) or free_above(cod, depth + 1)
-        case Lam(ann, body):
-            return free_above(ann, depth) or free_above(body, depth + 1)
-        case App(fn, arg):
-            return free_above(fn, depth) or free_above(arg, depth)
-        case Absurd(ann, scrut):
-            return free_above(ann, depth) or free_above(scrut, depth)
-        case Univ(level):
-            return free_above(level, depth)
-        case LevelLt(bound):
-            return free_above(bound, depth)
-    raise TypeError(f"Unexpected term in free_above: {term!r}")
-
-
-def is_closed(term: Term) -> bool:
-    return not free_above(term, 0)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
@@ -163,26 +168,15 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 
 def term_size(term: Term) -> int:
-    match term:
-        case Var(_) | Lvl(_) | Mty():
-            return 1
-        case Pi(a, b) | Lam(a, b) | App(a, b) | Absurd(a, b):
-            return 1 + term_size(a) + term_size(b)
-        case Univ(a) | LevelLt(a):
-            return 1 + term_size(a)
-    raise TypeError(f"Unexpected term in term_size: {term!r}")
+    size = 1
+    for kid in children(term):
+        size += term_size(kid)
+    return size
 
 
 def iter_subterms(term: Term) -> Iterator[Term]:
     """Yield ``term`` and every subterm, preorder."""
+    kids = children(term)
     yield term
-    match term:
-        case Var(_) | Lvl(_) | Mty():
-            return
-        case Pi(a, b) | Lam(a, b) | App(a, b) | Absurd(a, b):
-            yield from iter_subterms(a)
-            yield from iter_subterms(b)
-        case Univ(a) | LevelLt(a):
-            yield from iter_subterms(a)
-        case _:
-            raise TypeError(f"Unexpected term in iter_subterms: {term!r}")
+    for kid in kids:
+        yield from iter_subterms(kid)

@@ -15,7 +15,6 @@ from ulevels.levels import (
     Finite,
     LevelSyntaxError,
     OmegaPlus,
-    Ordering,
     domain_named,
 )
 
@@ -33,30 +32,21 @@ def test_next_above_frozen_values():
     assert NAT_OMEGA.next_above(OmegaPlus(0)) == OmegaPlus(1)
 
 
-def _table_compare(a, b) -> Ordering:
+def _table_lt(a, b) -> bool:
     # Independent small-value table: rank both tiers lexicographically.
     def rank(v):
         return (0, v.n) if isinstance(v, Finite) else (1, v.n)
 
-    ra, rb = rank(a), rank(b)
-    if ra < rb:
-        return Ordering.LESS
-    if ra > rb:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return rank(a) < rank(b)
 
 
 SMALL = [Finite(n) for n in range(13)] + [OmegaPlus(n) for n in range(13)]
 
 
-def test_compare_matches_exhaustive_small_table():
+def test_lt_matches_exhaustive_small_table():
     for a in SMALL:
         for b in SMALL:
-            assert NAT_OMEGA.compare(a, b) == _table_compare(a, b), (a, b)
-
-
-def test_compare_frozen_value():
-    assert NAT_OMEGA.compare(OmegaPlus(0), Finite(9)) == Ordering.GREATER
+            assert NAT_OMEGA.lt(a, b) == _table_lt(a, b), (a, b)
 
 
 @given(level_values)

@@ -15,7 +15,6 @@ from ulevels.subst import (
     compose,
     ctx_extend,
     ctx_lookup,
-    identity_subst,
     lift,
     shift,
     subst1,
@@ -99,7 +98,7 @@ def test_apply_of_composition_is_nested_apply(t, s_inner, s_outer):
 
 @given(terms(free=3))
 def test_identity_subst_is_identity(t):
-    assert apply(identity_subst(), t) == t
+    assert apply(Subst((), 0), t) == t
 
 
 @given(terms(free=3), substs(free=3))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import sys
+import typing
 
 import pytest
 from hypothesis import given
@@ -12,7 +14,11 @@ from hypothesis import given
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
 from ulevels.levels import Finite, OmegaPlus
+from ulevels.reduction import complete_development, par_reducts, par_step_check
+from ulevels.subst import Subst, apply, shift, strengthen, subst1
+from ulevels.surface import parse_expr
 from ulevels.terms import (
+    BINDS,
     App,
     Absurd,
     Lam,
@@ -20,11 +26,11 @@ from ulevels.terms import (
     Lvl,
     Mty,
     Pi,
+    Term,
     Univ,
     Var,
     alpha_equal,
-    free_above,
-    is_closed,
+    children,
     is_value,
     iter_subterms,
     term_size,
@@ -43,26 +49,10 @@ def test_is_value_heads():
     assert not is_value(Absurd(Mty(), Var(0)))
 
 
-def test_free_above_frozen_values():
-    assert free_above(Pi(Mty(), Var(1)), 0)
-    assert not free_above(Pi(Mty(), Var(0)), 0)
-    assert free_above(Var(3), 3)
-    assert not free_above(Var(2), 3)
-    assert is_closed(Lam(Mty(), Var(0)))
-    assert not is_closed(App(Var(0), Mty()))
-
-
 @given(terms(free=0))
 def test_generated_closed_terms_are_closed(t):
-    assert is_closed(t)
-
-
-@given(terms(free=3))
-def test_free_above_monotone_in_depth(t):
-    # Raising the threshold can only lose witnesses.
-    for d in range(4):
-        if not free_above(t, d):
-            assert not free_above(t, d + 1)
+    # Weakening changes exactly the terms with a free variable.
+    assert shift(t, 1) == t
 
 
 @given(terms(free=2))
@@ -194,3 +184,57 @@ def test_positional_and_keyword_class_patterns_match():
             assert (n, ix) == (1, 0)
         case _:
             pytest.fail("no pattern matched")
+
+
+# ---------------------------------------------------------------------------
+# The binder table: every traversal reads the binding structure from BINDS.
+
+
+def test_binds_covers_every_term_class():
+    classes = typing.get_args(Term)
+    assert set(BINDS) == set(classes)
+    for cls in classes:
+        hints = typing.get_type_hints(cls.__new__)
+        subterm_fields = [name for name in cls.__match_args__ if hints[name] == Term]
+        assert len(BINDS[cls]) == len(subterm_fields), cls
+        # Subterm fields come first, so they are read by tuple index.
+        assert list(cls.__match_args__[: len(subterm_fields)]) == subterm_fields
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+def test_children_are_the_subterm_fields(t):
+    assert children(t) == tuple(x for x in t if type(x) in BINDS)
+
+
+TRAVERSALS = {
+    "term_size": term_size,
+    "iter_subterms": lambda t: list(iter_subterms(t)),
+    "shift": lambda t: shift(t, 1),
+    "apply": lambda t: apply(Subst((Mty(),), 0), t),
+    "subst1": lambda t: subst1(t, Mty()),
+    "strengthen": strengthen,
+    "complete_development": complete_development,
+    "par_reducts": par_reducts,
+    "par_step_check": lambda t: par_step_check(t, t),
+}
+
+
+@pytest.mark.parametrize(
+    "run", [children, *TRAVERSALS.values()], ids=["children", *TRAVERSALS]
+)
+@pytest.mark.parametrize("value", [None, parse_expr("Bot")], ids=["None", "surface"])
+def test_traversals_reject_non_terms(run, value):
+    with pytest.raises(TypeError):
+        run(value)
+
+
+@pytest.mark.parametrize("run", TRAVERSALS.values(), ids=TRAVERSALS)
+def test_traversals_take_one_frame_per_level(run):
+    # Recursing through a comprehension, a generator expression or
+    # ``any`` costs a second frame per level and fails at this depth.
+    depth = sys.getrecursionlimit() - 100
+    towers = [Var(0), Var(0), Lvl(Finite(0))]
+    for _ in range(depth):
+        towers = [Lam(Mty(), towers[0]), Pi(Mty(), towers[1]), Univ(towers[2])]
+    for t in towers:
+        run(t)
