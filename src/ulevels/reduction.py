@@ -17,7 +17,6 @@ from .terms import (
     alpha_equal,
     children,
     is_value,
-    iter_subterms,
 )
 from . import subst
 
@@ -138,9 +137,13 @@ def complete_development(term: Term) -> Term:
 def is_normal(term: Term) -> bool:
     """No beta redex anywhere. Developments can have fixpoints that are
     not normal (a self-replicating redex), so this is the real test."""
-    return not any(
-        isinstance(t, App) and isinstance(t.fn, Lam) for t in iter_subterms(term)
-    )
+    kids = children(term)
+    if type(term) is App and type(kids[0]) is Lam:
+        return False
+    for kid in kids:
+        if not is_normal(kid):
+            return False
+    return True
 
 
 def pars(term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, bool]:

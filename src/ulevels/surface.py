@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .checker import TypeChecker, Verdict
+from .checker import TypeChecker, Verdict, pretty
 from .levels import (
     LevelDomain,
     LevelSyntaxError,
@@ -30,7 +30,6 @@ from .levels import (
     domain_named,
 )
 from .reduction import DEFAULT_FUEL
-from .subst import strengthen
 from .terms import (
     Absurd,
     App,
@@ -372,87 +371,6 @@ def resolve(
                 )
             return build(0, stack)
     raise SurfaceError(f"malformed surface tree: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (inverse of parse/resolve on closed terms)
-
-_PREC_EXPR = 0
-_PREC_ARROW = 1
-_PREC_APP = 2
-_PREC_ATOM = 3
-
-_NAME_POOL = ["x", "y", "z", "u", "v", "w", "k", "A", "B", "C", "f", "g"]
-
-
-def _fresh(stack: tuple[str | None, ...]) -> str:
-    for cand in _NAME_POOL:
-        if cand not in stack:
-            return cand
-    n = 0
-    while f"x{n}" in stack:
-        n += 1
-    return f"x{n}"
-
-
-def pretty(term: Term, names: tuple[str | None, ...] = ()) -> str:
-    return _pretty(term, names, _PREC_EXPR)
-
-
-def _wrap(text: str, prec: int, required: int) -> str:
-    return f"({text})" if prec < required else text
-
-
-def _pretty(term: Term, names: tuple[str | None, ...], required: int) -> str:
-    match term:
-        case Var(ix):
-            if 0 <= ix < len(names) and names[ix] is not None:
-                return names[ix]
-            return f"?{ix - len(names)}" if ix >= len(names) else f"?{ix}"
-        case Lvl(v):
-            return NAT_OMEGA.format_literal(v)
-        case Mty():
-            return "Bot"
-        case Univ(level):
-            text = f"U {_pretty(level, names, _PREC_ATOM)}"
-            return _wrap(text, _PREC_APP, required)
-        case LevelLt(bound):
-            text = f"Level< {_pretty(bound, names, _PREC_ATOM)}"
-            return _wrap(text, _PREC_APP, required)
-        case Absurd(ann, scrut):
-            text = (
-                f"absurd [{_pretty(ann, names, _PREC_EXPR)}] "
-                f"{_pretty(scrut, names, _PREC_ATOM)}"
-            )
-            return _wrap(text, _PREC_APP, required)
-        case App(fn, arg):
-            text = (
-                f"{_pretty(fn, names, _PREC_APP)} "
-                f"{_pretty(arg, names, _PREC_ATOM)}"
-            )
-            return _wrap(text, _PREC_APP, required)
-        case Pi(dom, cod):
-            # An arrow when the codomain does not mention the binder.
-            if strengthen(cod) is not None:
-                text = (
-                    f"{_pretty(dom, names, _PREC_APP)} -> "
-                    f"{_pretty(cod, (None,) + names, _PREC_ARROW)}"
-                )
-                return _wrap(text, _PREC_ARROW, required)
-            x = _fresh(names)
-            text = (
-                f"Pi ({x} : {_pretty(dom, names, _PREC_EXPR)}) . "
-                f"{_pretty(cod, (x,) + names, _PREC_EXPR)}"
-            )
-            return _wrap(text, _PREC_EXPR, required)
-        case Lam(ann, body):
-            x = _fresh(names)
-            text = (
-                f"fun ({x} : {_pretty(ann, names, _PREC_EXPR)}) . "
-                f"{_pretty(body, (x,) + names, _PREC_EXPR)}"
-            )
-            return _wrap(text, _PREC_EXPR, required)
-    raise TypeError(f"Unexpected term in pretty: {term!r}")
 
 
 # ---------------------------------------------------------------------------

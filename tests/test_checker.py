@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 
 import pytest
 
 from ulevels import checker as checker_mod
+from ulevels import harness, levels, subst
 from ulevels.checker import (
     CheckResult,
     Derivation,
@@ -171,6 +173,66 @@ def test_level_is_not_below_itself():
     assert not level_lt_check(ctx, Var(0), Var(0))
     assert not TypeChecker().level_below(ctx, Var(0), Var(0))
     rejected(ctx, Var(0), LevelLt(Var(0)))
+
+
+def test_level_lt_check_climbs_like_the_checker():
+    ctx = (Mty(),)
+    lo = Absurd(LevelLt(Lvl(Finite(3))), Var(0))
+    accepted(ctx, lo, LevelLt(Lvl(Finite(5))))
+    assert level_lt_check(ctx, lo, Lvl(Finite(5)))
+    # The climb reads the annotation, but the scrutinee is no refutation.
+    ill_typed = (U(0),)
+    rejected(ill_typed, lo, LevelLt(Lvl(Finite(5))))
+    assert not level_lt_check(ill_typed, lo, Lvl(Finite(5)))
+
+
+def test_level_search_decides_at_a_literal(monkeypatch):
+    calls = []
+    next_above = levels.LevelDomain.next_above
+
+    def counted(self, value):
+        calls.append(value)
+        return next_above(self, value)
+
+    monkeypatch.setattr(levels.LevelDomain, "next_above", counted)
+    ctx = (LevelLt(Lvl(Finite(5))),)
+    assert not TypeChecker().level_below(ctx, Lvl(Finite(0)), Var(0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)
+def test_level_below_iff_derivation_validates(domain):
+    # Over generated contexts, the level search answers yes exactly when
+    # the derivation built from its trail validates, and level_lt_check
+    # gives the search's answer.
+    zero = Lvl(domain.zero())
+    answers = {True: 0, False: 0}
+    for seed in range(200):
+        ctx = harness.gen_context(random.Random(seed), domain)
+        tc = TypeChecker(domain)
+        points = {zero, Lvl(domain.next_above(zero.value))}
+        for ix in range(len(ctx)):
+            entry = subst.ctx_lookup(ctx, ix)
+            if isinstance(entry, LevelLt):
+                points.add(Var(ix))
+                if isinstance(entry.bound, Lvl):
+                    points.add(entry.bound)
+        for a in points:
+            for b in points:
+                below = tc.level_below(ctx, a, b)
+                assert level_lt_check(ctx, a, b, domain) is below, (ctx, a, b)
+                try:
+                    d = tc._derive_level_below(ctx, a, b)
+                except TypingError:
+                    derived = False
+                else:
+                    derived = (
+                        (d.ctx, d.term, d.ty) == (ctx, a, LevelLt(b))
+                        and check_derivation(d, domain).ok
+                    )
+                assert derived is below, (ctx, a, b)
+                answers[below] += 1
+    assert answers[True] and answers[False], answers
 
 
 def test_checker_builds_each_level_order_once(monkeypatch):
@@ -409,6 +471,9 @@ def test_elaborate_lam_prime_rejects_non_function_conclusion():
     _, d_body = infer_with_derivation((Mty(),), Var(0))
     with pytest.raises(TypingError, match="inversion failed"):
         elaborate_lam_prime(d_mty, d_body)
+    d_nil = TypeChecker().ctx_derivation(())
+    with pytest.raises(TypingError, match="rule Nil concluding - : -"):
+        elaborate_lam_prime(d_nil, d_body)
 
 
 def test_elaborate_lam_prime_rejects_wrong_body_type():

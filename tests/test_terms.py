@@ -14,7 +14,12 @@ from hypothesis import given
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
 from ulevels.levels import Finite, OmegaPlus
-from ulevels.reduction import complete_development, par_reducts, par_step_check
+from ulevels.reduction import (
+    complete_development,
+    is_normal,
+    par_reducts,
+    par_step_check,
+)
 from ulevels.subst import Subst, apply, shift, strengthen, subst1
 from ulevels.surface import parse_expr
 from ulevels.terms import (
@@ -216,6 +221,7 @@ TRAVERSALS = {
     "complete_development": complete_development,
     "par_reducts": par_reducts,
     "par_step_check": lambda t: par_step_check(t, t),
+    "is_normal": is_normal,
 }
 
 
