@@ -2,16 +2,18 @@
 infer/check pair that emits derivations.
 
 The derivation checker is the ground truth: it validates each node
-against exactly one rule. The algorithmic checker is sound against it
-(every acceptance carries a derivation that validates) but makes no
-completeness claim; transitivity and cumulativity are not syntax
-directed, so it decides ``a : Level< b`` with one bounded search that
-normalizes, climbs the bounds above ``a`` a capped number of times, and
-at each level compares with ``b``, compares literals, and walks the
-context-declared bounds. The same search answers ``level_below``,
-builds the derivation, and supplies the levels that joining and
-strengthening universes climb. ``level_lt_check`` gives its answer
-once ``lo`` types as a level.
+against exactly one rule, first the rule's shape, read from one table
+(``_SHAPES``), then the rule's relations between the node's parts. The
+algorithmic checker is sound against it (every acceptance carries a
+derivation that validates) but makes no completeness claim;
+transitivity and cumulativity are not syntax directed, so it decides
+``a : Level< b`` with one bounded search that normalizes, climbs the
+bounds above ``a`` a capped number of times, and at each level
+compares with ``b``, compares literals, and walks the context-declared
+bounds. The same search answers ``level_below``, builds the
+derivation, and supplies the levels that joining and strengthening
+universes climb. ``level_lt_check`` gives its answer once ``lo`` types
+as a level.
 
 Three outcomes everywhere: accepted, rejected, and undecided (fuel ran
 out inside conversion). Rejections carry diagnostics.
@@ -23,8 +25,9 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
+from .levels import Finite, LevelDomain, NAT_OMEGA, OmegaPlus, domain_named
 from .reduction import (
     Convertibility,
     DEFAULT_FUEL,
@@ -74,12 +77,6 @@ __all__ = [
 ]
 
 CLIMB_CAP = 64
-
-RULES = (
-    "Nil", "Cons", "Var", "Pi", "Lam", "App", "Mty",
-    "Abs", "Conv", "Univ", "LevelLt", "Lvl", "Trans", "Cumul",
-)
-
 
 # ---------------------------------------------------------------------------
 # Derivation trees
@@ -192,8 +189,170 @@ def _pretty(term: Term | None, names: tuple[str | None, ...], required: int) -> 
     raise TypeError(f"Unexpected term in pretty: {term!r}")
 
 
-def _is_ctx_judgment(d: Derivation) -> bool:
-    return d.rule in ("Nil", "Cons")
+class _Premise(NamedTuple):
+    """One premise of a rule: the class its type must have (None: any
+    term), whether it sits under the subject's binder, and whether it is
+    a typing judgment or a context judgment."""
+
+    ty: type | None = None
+    binder: bool = False
+    typing: bool = True
+
+
+class _Shape(NamedTuple):
+    """The form of a rule: whether it concludes a typing judgment
+    (context judgments have no subject and no type), the classes of its
+    subject and type (None: any term), and its premises."""
+
+    typing: bool
+    subject: type | None = None
+    ty: type | None = None
+    premises: tuple[_Premise, ...] = ()
+
+
+_CTX = _Premise(typing=False)
+
+
+# The rules of the system, one shape each. A premise sits in the
+# conclusion's context; a context judgment's premises sit in its prefix,
+# and a binder premise (``binder=True``) in the context extended by the
+# binder's type, the subject's first field (``Pi.dom``, ``Lam.ann``).
+_SHAPES: dict[str, _Shape] = {
+    "Nil": _Shape(False),
+    "Cons": _Shape(False, premises=(_CTX, _Premise(Univ))),
+    "Var": _Shape(True, Var, None, (_CTX,)),
+    "Pi": _Shape(True, Pi, Univ, (_Premise(Univ), _Premise(Univ, binder=True))),
+    "Lam": _Shape(
+        True, Lam, Pi, (_Premise(Univ), _Premise(Univ), _Premise(binder=True))
+    ),
+    "App": _Shape(True, App, None, (_Premise(Pi), _Premise())),
+    "Mty": _Shape(True, Mty, Univ, (_Premise(Univ),)),
+    "Abs": _Shape(True, Absurd, None, (_Premise(Univ), _Premise(Mty))),
+    "Conv": _Shape(True, None, None, (_Premise(), _Premise(Univ))),
+    "Univ": _Shape(True, Univ, Univ, (_Premise(LevelLt),)),
+    "LevelLt": _Shape(True, LevelLt, Univ, (_Premise(Univ), _Premise(LevelLt))),
+    "Lvl": _Shape(True, Lvl, LevelLt, (_CTX,)),
+    "Trans": _Shape(True, None, LevelLt, (_Premise(LevelLt), _Premise(LevelLt))),
+    "Cumul": _Shape(True, None, Univ, (_Premise(Univ), _Premise(LevelLt))),
+}
+
+RULES = tuple(_SHAPES)
+
+
+def _shape_error(node: Derivation) -> str | None:
+    """How ``node`` departs from the shape of its rule, or None."""
+    r, term, ty, ps = node.rule, node.term, node.ty, node.premises
+    shape = _SHAPES.get(r)
+    if shape is None:
+        return f"{r}: unknown rule"
+    typing, subject, ty_class, wanted = shape
+    if not typing:
+        if term is not None or ty is not None:
+            return f"{r}: not a typing judgment"
+    elif term is None or ty is None:
+        return f"{r}: missing subject or type"
+    elif subject is not None and not isinstance(term, subject):
+        return f"{r}: subject must be {subject.__name__}"
+    elif ty_class is not None and not isinstance(ty, ty_class):
+        return f"{r}: type must be {ty_class.__name__}"
+    if len(ps) != len(wanted):
+        return f"{r}: has {len(ps)} premises, not {len(wanted)}"
+    ctx = node.ctx if typing else node.ctx[:-1]
+    for i, p in enumerate(ps):
+        p_class, binder, p_typing = wanted[i]
+        kind = _SHAPES.get(p.rule)
+        if kind is None or kind.typing != p_typing:
+            judgment = "typing" if p_typing else "context"
+            return f"{r}: premises[{i}] must be a {judgment} judgment"
+        if p.ctx != (ctx + (term[0],) if binder else ctx):
+            return f"{r}: premises[{i}] is in the wrong context"
+        if p_typing:
+            if p.term is None or p.ty is None:
+                return f"{r}: premises[{i}] has no subject or type"
+            if p_class is not None and not isinstance(p.ty, p_class):
+                return f"{r}: premises[{i}] type must be {p_class.__name__}"
+    return None
+
+
+def _relation_error(node: Derivation, domain: LevelDomain, fuel: int) -> str | None:
+    """Which relation between the parts of ``node`` fails, or None; the
+    node has the shape of its rule. Most relations are equalities, parts
+    of the premises on the left and what they must equal on the right;
+    ``==`` is alpha-equivalence on de Bruijn syntax."""
+    r, ctx, t, ty, ps = node.rule, node.ctx, node.term, node.ty, node.premises
+    if r == "Nil":
+        if ctx != ():
+            return "Nil: context must be empty"
+    elif r == "Cons":
+        if ctx == () or ps[1].term != ctx[-1]:
+            return "Cons: entry must be typed in the prefix"
+    elif r == "Var":
+        try:
+            entry = subst.ctx_lookup(ctx, t.ix)
+        except IndexError:
+            return "Var: index out of scope"
+        if entry != ty:
+            return "Var: type differs from the context entry"
+    elif r == "Lvl":
+        if not isinstance(ty.bound, Lvl):
+            return "Lvl: bound must be a literal"
+        i, j = t.value, ty.bound.value
+        if not (domain.contains(i) and domain.contains(j)):
+            return "Lvl: level outside the domain"
+        if not domain.lt(i, j):
+            return "Lvl: i < j fails"
+    elif r == "Pi":
+        p_dom, p_cod = ps
+        if (p_dom.term, p_dom.ty.level, p_cod.term, p_cod.ty.level) != (
+            t.dom, ty.level, t.cod, subst.shift(ty.level, 1, 0)
+        ):
+            return "Pi: domain and codomain must share the universe"
+    elif r == "Lam":
+        if t.ann != ty.dom:
+            return "Lam: annotation differs from the domain"
+        p_dom, p_pi, p_body = ps
+        if (p_dom.term, p_pi.term, p_dom.ty.level, p_body.term, p_body.ty) != (
+            t.ann, ty, p_pi.ty.level, t.body, ty.cod
+        ):
+            return "Lam: premises disagree with the conclusion"
+    elif r == "App":
+        p_fn, p_arg = ps
+        if (p_fn.term, p_arg.term, p_arg.ty, ty) != (
+            t.fn, t.arg, p_fn.ty.dom, subst.subst1(p_fn.ty.cod, t.arg)
+        ):
+            return "App: instantiated codomain mismatch"
+    elif r == "Mty":
+        if ps[0].term != ty:
+            return "Mty: premise must type the target universe"
+    elif r == "Abs":
+        p_ty, p_prf = ps
+        if (ty, p_ty.term, p_prf.term) != (t.ann, t.ann, t.scrut):
+            return "Abs: annotation or scrutinee premise mismatch"
+    elif r == "Conv":
+        p_subj, p_target = ps
+        if (p_subj.term, p_target.term) != (t, ty):
+            return "Conv: premises disagree with the conclusion"
+        verdict = convertible(p_subj.ty, ty, fuel)
+        if verdict is Convertibility.NO:
+            return "Conv: types are not convertible"
+        if verdict is Convertibility.UNDECIDED:
+            return "Conv: conversion undecided within fuel"
+    elif r == "Univ":
+        if (ps[0].term, ps[0].ty.bound) != (t.level, ty.level):
+            return "Univ: level premise must bound the index"
+    elif r == "LevelLt":
+        p_univ, p_bound = ps
+        if (p_univ.term, p_bound.term) != (ty, t.bound):
+            return "LevelLt: premises must type the universe and the bound"
+    elif r == "Trans":
+        p_lo, p_hi = ps
+        if (p_lo.term, p_hi.term, p_hi.ty.bound) != (t, p_lo.ty.bound, ty.bound):
+            return "Trans: middle bound must match both premises"
+    elif r == "Cumul":
+        p_subj, p_lt = ps
+        if (p_subj.term, p_lt.term, p_lt.ty.bound) != (t, p_subj.ty.level, ty.level):
+            return "Cumul: level premise must lift to the target universe"
+    return None
 
 
 def check_derivation(
@@ -201,306 +360,17 @@ def check_derivation(
     domain: LevelDomain = NAT_OMEGA,
     fuel: int = DEFAULT_FUEL,
 ) -> DerivationReport:
-    """Validate every node of ``d`` against its rule."""
+    """Validate every node of ``d``, premises first: its shape against
+    its rule's entry in ``_SHAPES``, then the relations between its
+    parts. An error names the node by its ``premises[i]`` path."""
     errors: list[str] = []
-
-    def fail(path: str, msg: str) -> None:
-        errors.append(f"{path}: {msg}" if path else msg)
-
-    def expect_typing(p: Derivation, path: str) -> bool:
-        if _is_ctx_judgment(p):
-            fail(path, f"{p.rule}: expected a typing premise")
-            return False
-        return True
 
     def go(node: Derivation, path: str) -> None:
         for i, p in enumerate(node.premises):
             go(p, f"{path}.premises[{i}]" if path else f"premises[{i}]")
-        n = len(node.premises)
-        r = node.rule
-        if r == "Nil":
-            if node.ctx != () or n != 0:
-                fail(path, "Nil: context must be empty with no premises")
-            if node.term is not None or node.ty is not None:
-                fail(path, "Nil: not a typing judgment")
-            return
-        if r == "Cons":
-            if n != 2:
-                fail(path, "Cons: needs a context premise and a typing premise")
-                return
-            p_ctx, p_ty = node.premises
-            if not node.ctx or node.ctx[:-1] != p_ctx.ctx:
-                fail(path, "Cons: context premise must cover the prefix")
-            if not _is_ctx_judgment(p_ctx):
-                fail(path, "Cons: first premise must be a context judgment")
-            if not expect_typing(p_ty, path):
-                return
-            if p_ty.ctx != node.ctx[:-1] or (
-                node.ctx and p_ty.term != node.ctx[-1]
-            ):
-                fail(path, "Cons: entry must be typed in the prefix")
-            if not isinstance(p_ty.ty, Univ):
-                fail(path, "Cons: entry must inhabit a universe")
-            if node.term is not None or node.ty is not None:
-                fail(path, "Cons: not a typing judgment")
-            return
-        if node.term is None or node.ty is None:
-            fail(path, f"{r}: missing subject or type")
-            return
-        if r == "Var":
-            if n != 1 or not _is_ctx_judgment(node.premises[0]):
-                fail(path, "Var: needs one context premise")
-                return
-            if node.premises[0].ctx != node.ctx:
-                fail(path, "Var: context premise mismatch")
-            if not isinstance(node.term, Var):
-                fail(path, "Var: subject must be a variable")
-                return
-            try:
-                looked = subst.ctx_lookup(node.ctx, node.term.ix)
-            except IndexError:
-                fail(path, "Var: index out of scope")
-                return
-            if not alpha_equal(looked, node.ty):
-                fail(path, "Var: type differs from the context entry")
-            return
-        if r == "Lvl":
-            if n != 1 or not _is_ctx_judgment(node.premises[0]):
-                fail(path, "Lvl: needs one context premise")
-                return
-            if node.premises[0].ctx != node.ctx:
-                fail(path, "Lvl: context premise mismatch")
-            match (node.term, node.ty):
-                case (Lvl(i), LevelLt(Lvl(j))):
-                    if not (domain.contains(i) and domain.contains(j)):
-                        fail(path, "Lvl: level outside the domain")
-                    elif not domain.lt(i, j):
-                        fail(path, "Lvl: i < j fails")
-                case _:
-                    fail(path, "Lvl: shape must be literal : Level< literal")
-            return
-        if r == "Pi":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Pi: needs two typing premises")
-                return
-            p_dom, p_cod = node.premises
-            match node.term:
-                case Pi(dom, cod):
-                    pass
-                case _:
-                    fail(path, "Pi: subject must be a function type")
-                    return
-            if not (
-                isinstance(node.ty, Univ)
-                and isinstance(p_dom.ty, Univ)
-                and isinstance(p_cod.ty, Univ)
-            ):
-                fail(path, "Pi: judgment types must be universes")
-                return
-            k = node.ty.level
-            ok = (
-                p_dom.ctx == node.ctx
-                and alpha_equal(p_dom.term, dom)
-                and alpha_equal(p_dom.ty.level, k)
-                and p_cod.ctx == subst.ctx_extend(node.ctx, dom)
-                and alpha_equal(p_cod.term, cod)
-                and alpha_equal(p_cod.ty.level, subst.shift(k, 1, 0))
-            )
-            if not ok:
-                fail(path, "Pi: domain and codomain must share the universe")
-            return
-        if r == "Lam":
-            if n != 3 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Lam: needs three typing premises")
-                return
-            p_dom, p_pi, p_body = node.premises
-            match (node.term, node.ty):
-                case (Lam(ann, body), Pi(dom, cod)):
-                    pass
-                case _:
-                    fail(path, "Lam: shape must be abstraction : function type")
-                    return
-            if not alpha_equal(ann, dom):
-                fail(path, "Lam: annotation differs from the domain")
-                return
-            if not (isinstance(p_dom.ty, Univ) and isinstance(p_pi.ty, Univ)):
-                fail(path, "Lam: universe premises malformed")
-                return
-            ok = (
-                p_dom.ctx == node.ctx
-                and alpha_equal(p_dom.term, ann)
-                and p_pi.ctx == node.ctx
-                and alpha_equal(p_pi.term, node.ty)
-                and alpha_equal(p_dom.ty.level, p_pi.ty.level)
-                and p_body.ctx == subst.ctx_extend(node.ctx, ann)
-                and alpha_equal(p_body.term, body)
-                and alpha_equal(p_body.ty, cod)
-            )
-            if not ok:
-                fail(path, "Lam: premises disagree with the conclusion")
-            return
-        if r == "App":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "App: needs two typing premises")
-                return
-            p_fn, p_arg = node.premises
-            match node.term:
-                case App(fn, arg):
-                    pass
-                case _:
-                    fail(path, "App: subject must be an application")
-                    return
-            if not isinstance(p_fn.ty, Pi):
-                fail(path, "App: function premise must have a function type")
-                return
-            ok = (
-                p_fn.ctx == node.ctx
-                and alpha_equal(p_fn.term, fn)
-                and p_arg.ctx == node.ctx
-                and alpha_equal(p_arg.term, arg)
-                and alpha_equal(p_arg.ty, p_fn.ty.dom)
-                and alpha_equal(node.ty, subst.subst1(p_fn.ty.cod, arg))
-            )
-            if not ok:
-                fail(path, "App: instantiated codomain mismatch")
-            return
-        if r == "Mty":
-            if n != 1 or not expect_typing(node.premises[0], path):
-                fail(path, "Mty: needs one typing premise")
-                return
-            p = node.premises[0]
-            ok = (
-                isinstance(node.term, Mty)
-                and isinstance(node.ty, Univ)
-                and p.ctx == node.ctx
-                and alpha_equal(p.term, node.ty)
-                and isinstance(p.ty, Univ)
-            )
-            if not ok:
-                fail(path, "Mty: premise must type the target universe")
-            return
-        if r == "Abs":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Abs: needs two typing premises")
-                return
-            p_ty, p_prf = node.premises
-            match node.term:
-                case Absurd(ann, scrut):
-                    pass
-                case _:
-                    fail(path, "Abs: subject must be an absurdity elimination")
-                    return
-            ok = (
-                alpha_equal(node.ty, ann)
-                and p_ty.ctx == node.ctx
-                and alpha_equal(p_ty.term, ann)
-                and isinstance(p_ty.ty, Univ)
-                and p_prf.ctx == node.ctx
-                and alpha_equal(p_prf.term, scrut)
-                and isinstance(p_prf.ty, Mty)
-            )
-            if not ok:
-                fail(path, "Abs: annotation or scrutinee premise mismatch")
-            return
-        if r == "Conv":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Conv: needs two typing premises")
-                return
-            p_subj, p_target = node.premises
-            ok_shape = (
-                p_subj.ctx == node.ctx
-                and alpha_equal(p_subj.term, node.term)
-                and p_target.ctx == node.ctx
-                and alpha_equal(p_target.term, node.ty)
-                and isinstance(p_target.ty, Univ)
-            )
-            if not ok_shape:
-                fail(path, "Conv: premises disagree with the conclusion")
-                return
-            verdict = convertible(p_subj.ty, node.ty, fuel)
-            if verdict is Convertibility.NO:
-                fail(path, "Conv: types are not convertible")
-            elif verdict is Convertibility.UNDECIDED:
-                fail(path, "Conv: conversion undecided within fuel")
-            return
-        if r == "Univ":
-            if n != 1 or not expect_typing(node.premises[0], path):
-                fail(path, "Univ: needs one typing premise")
-                return
-            p = node.premises[0]
-            match (node.term, node.ty):
-                case (Univ(k), Univ(l)):
-                    pass
-                case _:
-                    fail(path, "Univ: shape must be universe : universe")
-                    return
-            ok = (
-                p.ctx == node.ctx
-                and alpha_equal(p.term, k)
-                and alpha_equal(p.ty, LevelLt(l))
-            )
-            if not ok:
-                fail(path, "Univ: level premise must bound the index")
-            return
-        if r == "LevelLt":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "LevelLt: needs two typing premises")
-                return
-            p_univ, p_bound = node.premises
-            match (node.term, node.ty):
-                case (LevelLt(k0), Univ(k1)):
-                    pass
-                case _:
-                    fail(path, "LevelLt: shape must be bound type : universe")
-                    return
-            ok = (
-                p_univ.ctx == node.ctx
-                and alpha_equal(p_univ.term, Univ(k1))
-                and isinstance(p_univ.ty, Univ)
-                and p_bound.ctx == node.ctx
-                and alpha_equal(p_bound.term, k0)
-                and isinstance(p_bound.ty, LevelLt)
-            )
-            if not ok:
-                fail(path, "LevelLt: premises must type the universe and the bound")
-            return
-        if r == "Trans":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Trans: needs two typing premises")
-                return
-            p_lo, p_hi = node.premises
-            ok = (
-                p_lo.ctx == node.ctx
-                and p_hi.ctx == node.ctx
-                and alpha_equal(p_lo.term, node.term)
-                and isinstance(p_lo.ty, LevelLt)
-                and isinstance(node.ty, LevelLt)
-                and alpha_equal(p_hi.term, p_lo.ty.bound)
-                and isinstance(p_hi.ty, LevelLt)
-                and alpha_equal(p_hi.ty.bound, node.ty.bound)
-            )
-            if not ok:
-                fail(path, "Trans: middle bound must match both premises")
-            return
-        if r == "Cumul":
-            if n != 2 or not all(expect_typing(p, path) for p in node.premises):
-                fail(path, "Cumul: needs two typing premises")
-                return
-            p_subj, p_lt = node.premises
-            ok = (
-                p_subj.ctx == node.ctx
-                and p_lt.ctx == node.ctx
-                and alpha_equal(p_subj.term, node.term)
-                and isinstance(p_subj.ty, Univ)
-                and isinstance(node.ty, Univ)
-                and alpha_equal(p_lt.term, p_subj.ty.level)
-                and isinstance(p_lt.ty, LevelLt)
-                and alpha_equal(p_lt.ty.bound, node.ty.level)
-            )
-            if not ok:
-                fail(path, "Cumul: level premise must lift to the target universe")
-            return
-        fail(path, f"unknown rule: {r}")
+        msg = _shape_error(node) or _relation_error(node, domain, fuel)
+        if msg is not None:
+            errors.append(f"{path}: {msg}" if path else msg)
 
     go(d, "")
     return DerivationReport(not errors, tuple(errors))
@@ -681,29 +551,24 @@ class LevelOrder:
 
     def path(self, src: Term, dst: Term) -> list[Term] | None:
         """Nodes visited from ``src`` to ``dst`` inclusive, over at least
-        one hop (so ``src`` is never below itself for free), or None."""
+        one hop (so ``src`` is never below itself for free), or None.
+        A node has at most one declared edge and a literal hop lands on
+        ``dst``, so the search is a walk along one chain."""
+        trail = [src]
         seen = {src}
-        frontier: list[list[Term]] = [[src]]
-        while frontier:
-            trail = frontier.pop(0)
-            node = trail[-1]
-            hops: list[Term] = []
+        node = src
+        while True:
             nxt = self.edges.get(node)
-            if nxt is not None:
-                hops.append(nxt)
+            if nxt is not None and alpha_equal(nxt, dst):
+                return trail + [nxt]
             match (node, dst):
-                case (Lvl(a), Lvl(b)):
-                    if self.domain.lt(a, b):
-                        hops.append(dst)
-                case _:
-                    pass
-            for hop in hops:
-                if alpha_equal(hop, dst):
-                    return trail + [hop]
-                if hop not in seen:
-                    seen.add(hop)
-                    frontier.append(trail + [hop])
-        return None
+                case (Lvl(a), Lvl(b)) if self.domain.lt(a, b):
+                    return trail + [dst]
+            if nxt is None or nxt in seen:
+                return None
+            seen.add(nxt)
+            trail.append(nxt)
+            node = nxt
 
 
 class TypeChecker:
@@ -752,9 +617,6 @@ class TypeChecker:
                 f"conversion undecided between {pretty(a)} and {pretty(b)}"
             )
         return verdict is Convertibility.YES
-
-    def _concrete(self, t: Term) -> LevelValue | None:
-        return t.value if isinstance(t, Lvl) else None
 
     def _order(self, ctx: Context) -> LevelOrder:
         order = self._orders.get(ctx)
@@ -814,7 +676,7 @@ class TypeChecker:
             return n.bound, self._conv_to(d, n)
         raise TypingError(f"not a level: {pretty(t)} has type {pretty(ty)}")
 
-    def _bound_of(self, ctx: Context, t: Term) -> Term | None:
+    def _bound_typing(self, ctx: Context, t: Term) -> Term | None:
         """A bound strictly above the level term ``t``, if one can be
         synthesized cheaply: context entry, literal successor, or the
         annotation of a stuck elimination; otherwise full inference."""
@@ -847,7 +709,7 @@ class TypeChecker:
         seen = {cur}
         yield cur
         for _ in range(CLIMB_CAP):
-            bound = self._bound_of(ctx, cur)
+            bound = self._bound_typing(ctx, cur)
             if bound is None:
                 return
             cur = self._norm(bound)

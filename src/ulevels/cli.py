@@ -133,21 +133,25 @@ def _cmd_check(args) -> int:
 
 
 def _checked_target(args):
+    """The target definition, its body, its check result, the domain,
+    the fuel and an exit code; a verdict other than accepted is reported
+    and gives a nonzero code."""
     module = _load(args.file)
     domain, fuel = module_settings(module, args.domain, args.fuel)
     d, ty, body = _target_def(module, args, domain)
     res = check((), body, ty, domain, fuel)
+    code = EXIT_OK
     if res.verdict is Verdict.REJECTED:
         print(f"error: {d.name} does not check: {res.message}", file=sys.stderr)
-        return None, None, None, None, EXIT_CHECK_FAILED
-    if res.verdict is Verdict.UNDECIDED:
+        code = EXIT_CHECK_FAILED
+    elif res.verdict is Verdict.UNDECIDED:
         print(f"error: {d.name}: {res.message}", file=sys.stderr)
-        return None, None, None, None, EXIT_FUEL
-    return d, body, res, fuel, EXIT_OK
+        code = EXIT_FUEL
+    return d, body, res, domain, fuel, code
 
 
 def _cmd_eval(args) -> int:
-    d, body, _res, fuel, code = _checked_target(args)
+    d, body, _res, _domain, fuel, code = _checked_target(args)
     if code != EXIT_OK:
         return code
     value, outcome = cbn_eval(body, fuel)
@@ -162,7 +166,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    _d, body, _res, fuel, code = _checked_target(args)
+    _d, body, _res, _domain, fuel, code = _checked_target(args)
     if code != EXIT_OK:
         return code
     normal, done = pars(body, fuel)
@@ -174,16 +178,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    module = _load(args.file)
-    domain, fuel = module_settings(module, args.domain, args.fuel)
-    d, ty, body = _target_def(module, args, domain)
-    res = check((), body, ty, domain, fuel)
-    if res.verdict is Verdict.REJECTED:
-        print(f"error: {d.name} does not check: {res.message}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if res.verdict is Verdict.UNDECIDED:
-        print(f"error: {d.name}: {res.message}", file=sys.stderr)
-        return EXIT_FUEL
+    _d, _body, res, domain, _fuel, code = _checked_target(args)
+    if code != EXIT_OK:
+        return code
     doc = derivation_to_doc(res.derivation, domain)
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     if args.out:

@@ -129,9 +129,6 @@ def lex(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser: tokens -> surface expression trees (plain tuples)
 
-_ATOM_START = {"kw", "levellt", "level", "ident", "lparen"}
-
-
 @dataclass(frozen=True)
 class SurfaceDef:
     name: str
@@ -439,9 +436,11 @@ def module_settings(
 def resolve_defs(
     module: Module, domain: LevelDomain
 ) -> list[tuple[SurfaceDef, Term, Term]]:
-    """Resolved (definition, type, body) triples. Every definition not
-    marked ``#fail`` is inlined into later ones, checked or not; use
-    :func:`check_module` when acceptance should gate inlining."""
+    """Resolved (definition, type, body) triples, the one name
+    resolution every command uses: each definition not marked ``#fail``
+    is inlined into later ones, whatever its verdict, so a later
+    definition is judged on its own and a rejected one is reported once,
+    where it stands."""
     defs: dict[str, Term] = {}
     out: list[tuple[SurfaceDef, Term, Term]] = []
     for d in module.defs:
@@ -458,17 +457,15 @@ def check_module(
     domain_name: str | None = None,
     fuel: int | None = None,
 ) -> ModuleReport:
-    """Check every definition in order, inlining earlier ones. One
-    checker serves the whole module, so an inlined definition is typed
-    once; the verdicts are those of a fresh check per definition."""
+    """Check every definition in order, names resolved by
+    :func:`resolve_defs`. One checker serves the whole module, so an
+    inlined definition is typed once; the verdicts are those of a fresh
+    check per definition."""
     domain, chosen_fuel = module_settings(module, domain_name, fuel)
     chosen_domain = domain.name
     checker = TypeChecker(domain, chosen_fuel)
-    defs: dict[str, Term] = {}
     entries: list[DefReport] = []
-    for d in module.defs:
-        ty = resolve(d.ty, (), defs, domain)
-        body = resolve(d.body, (), defs, domain)
+    for d, ty, body in resolve_defs(module, domain):
         res = checker.check((), body, ty)
         entries.append(
             DefReport(
@@ -479,8 +476,6 @@ def check_module(
                 message=res.message,
             )
         )
-        if res and not d.expect_fail:
-            defs[d.name] = body
     return ModuleReport(chosen_domain, chosen_fuel, tuple(entries))
 
 

@@ -454,6 +454,33 @@ def test_conv_node_requires_convertibility():
     assert any("not convertible" in e for e in report.errors)
 
 
+# U 0 : U 0 by Conv from Bot : <nothing>; the first premise has no type.
+UNTYPED_CONV_PREMISE = """{
+  "format": "ulevels-derivation-tables", "domain": "nat-omega",
+  "terms": [{"k": "Mty"}, {"k": "Lvl", "n": 0, "tier": "finite"},
+            {"k": "Univ", "level": 1}, {"k": "Lvl", "n": 1, "tier": "finite"},
+            {"k": "Univ", "level": 3}, {"k": "LevelLt", "bound": 3}],
+  "ctxs": [[]],
+  "nodes": [
+    {"rule": "Mty", "ctx": 0, "term": 0, "ty": null, "premises": []},
+    {"rule": "Nil", "ctx": 0, "term": null, "ty": null, "premises": []},
+    {"rule": "Lvl", "ctx": 0, "term": 1, "ty": 5, "premises": [1]},
+    {"rule": "Univ", "ctx": 0, "term": 2, "ty": 4, "premises": [2]},
+    {"rule": "Conv", "ctx": 0, "term": 0, "ty": 2, "premises": [0, 3]}
+  ]
+}"""
+
+
+def test_check_derivation_reports_a_premise_without_a_type():
+    d, domain = derivation_from_doc(json.loads(UNTYPED_CONV_PREMISE))
+    report = check_derivation(d, domain)
+    assert not report.ok
+    assert report.errors == (
+        "premises[0]: Mty: missing subject or type",
+        "Conv: premises[0] has no subject or type",
+    )
+
+
 # -- elaboration of the derived abstraction rule
 
 

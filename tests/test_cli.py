@@ -114,6 +114,25 @@ def test_check_domain_flag_overrides_pragma(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
+def test_every_command_resolves_names_alike(tmp_path, capsys):
+    # A rejected definition is still inlined into later ones, by every
+    # command: X is judged on its own, as derive and eval judge it.
+    path = write(tmp_path, "def Y : U 0 := U 5\ndef X : U 6 := Y\n")
+    assert run_cli(["check", path]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL Y : level bound fails: 5 is not below 0\n"
+        "ok X : U 6\n"
+        "checked 2 definitions: 1 ok, 1 failed, 0 undecided\n"
+    )
+    assert run_cli(["derive", path, "X"]) == 0
+    node, domain = derivation_from_doc(json.loads(capsys.readouterr().out))
+    assert check_derivation(node, domain).ok
+    assert run_cli(["eval", path, "X"]) == 0
+    assert capsys.readouterr().out == "U 5\n"
+    assert run_cli(["derive", path, "Y"]) == 1
+    assert "error: Y does not check" in capsys.readouterr().err
+
+
 def test_check_undecided_exit_code(tmp_path, capsys):
     path = write(
         tmp_path,
