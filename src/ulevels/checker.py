@@ -702,8 +702,8 @@ class TypeChecker:
                 return bound
 
     def _climb(self, ctx: Context, k: Term) -> Iterator[Term]:
-        """``k`` normalized, then each bound ``_bound_of`` finds above the
-        level before it, normalized: at most CLIMB_CAP steps, stopping
+        """``k`` normalized, then each bound ``_bound_typing`` finds above
+        the level before it, normalized: at most CLIMB_CAP steps, stopping
         before a level repeats."""
         cur = self._norm(k)
         seen = {cur}
@@ -817,19 +817,49 @@ class TypeChecker:
         return self._conv(a, b) or self.level_below(ctx, a, b)
 
     def _join_levels(self, ctx: Context, a: Term, b: Term) -> Term:
+        """``b`` if ``a`` is below it, ``a`` if ``b`` is below it, else
+        the first level of ``a``'s climb above ``b``, else the first of
+        ``b``'s climb above ``a``."""
         if self._level_le(ctx, a, b):
             return b
         if self._level_le(ctx, b, a):
             return a
-        for cand in list(self._climb(ctx, a)):
-            if self._level_le(ctx, b, cand):
-                return cand
-        for cand in list(self._climb(ctx, b)):
-            if self._level_le(ctx, a, cand):
+        for lo, hi in ((a, b), (b, a)):
+            cand = self._first_above(ctx, lo, hi)
+            if cand is not None:
                 return cand
         raise TypingError(
             f"no common universe above {pretty(a)} and {pretty(b)}"
         )
+
+    def _first_above(self, ctx: Context, lo: Term, hi: Term) -> Term | None:
+        """The first level of ``_climb(ctx, lo)`` at or above ``hi``.
+
+        Past its first literal a climb meets only the next literals of
+        the same tier, and a level below one literal is below every
+        larger one. So the literal tail is climbed only when ``hi`` is
+        below its last literal, which ``nth_above`` names directly."""
+        climb = self._climb(ctx, lo)
+        # Every level up to the first literal is climbed before any is
+        # compared, so a climb that raises does so first.
+        levels = []
+        for cand in climb:
+            levels.append(cand)
+            if isinstance(cand, Lvl):
+                break
+        for cand in levels:
+            if self._level_le(ctx, hi, cand):
+                return cand
+        first = levels[-1]
+        if not isinstance(first, Lvl):
+            return None
+        # The climb takes at most CLIMB_CAP steps in all.
+        last = Lvl(self.domain.nth_above(first.value, CLIMB_CAP + 1 - len(levels)))
+        if self._level_le(ctx, hi, last):
+            for cand in climb:
+                if self._level_le(ctx, hi, cand):
+                    return cand
+        return None
 
     def _strengthen_level(self, ctx2: Context, k: Term) -> Term:
         """Rewrite a level valid under one extra binder into one that

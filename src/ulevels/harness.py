@@ -315,6 +315,14 @@ def gen_case(
     Raises FuelError when the fuel runs out before the judgment is
     settled, and GenError when the checker rejects it."""
     tc = TypeChecker(domain or domain_named(cfg.domain_name), cfg.fuel)
+    return _gen_case(cfg, index, tc, closed)
+
+
+def _gen_case(
+    cfg: GenConfig, index: int, tc: TypeChecker, closed: bool = False
+) -> GenCase:
+    """``gen_case`` typed by ``tc``, which the caller keeps to check
+    the case's follow-up judgments with the same caches."""
     rng = _rng_for(cfg, index)
     ctx = () if closed else gen_context(rng, tc.domain)
     term = gen_term(rng, ctx, tc, cfg.max_size)
@@ -503,7 +511,8 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
     domain = domain_named(cfg.domain_name)
     for i in range(cfg.cases):
         try:
-            case = gen_case(cfg, i, domain)
+            tc = TypeChecker(domain, cfg.fuel)
+            case = _gen_case(cfg, i, tc)
             tally.feed((case.ctx, case.term, case.ty))
             try:
                 reducts = par_reducts(case.term, cap=4000)
@@ -513,7 +522,7 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
             for u in reducts:
                 if u == case.term:
                     continue
-                res = check(case.ctx, u, case.ty, domain, cfg.fuel)
+                res = tc.check(case.ctx, u, case.ty)
                 if res.verdict is Verdict.REJECTED:
                     shrunk = _shrink_sr(case.ctx, case.term, case.ty, domain, cfg.fuel)
                     tally.fail(
@@ -656,12 +665,13 @@ def run_consistency(cfg: GenConfig) -> PropertyReport:
     domain = domain_named(cfg.domain_name)
     for i in range(cfg.cases):
         try:
+            tc = TypeChecker(domain, cfg.fuel)
             if i % 2 == 0:
                 candidate = gen_raw(_rng_for(cfg, i), cfg.raw_size, free=0)
             else:
-                candidate = gen_case(cfg, i, domain, closed=True).term
+                candidate = _gen_case(cfg, i, tc, closed=True).term
             tally.feed(candidate)
-            res = check((), candidate, Mty(), domain, cfg.fuel)
+            res = tc.check((), candidate, Mty())
             if res.verdict is Verdict.ACCEPTED:
                 tally.fail(
                     f"case {i}: closed proof of the empty type accepted: "

@@ -86,11 +86,15 @@ class LevelDomain:
 
     def next_above(self, a: LevelValue) -> LevelValue:
         """A strictly larger level in the same tier."""
+        return self.nth_above(a, 1)
+
+    def nth_above(self, a: LevelValue, n: int) -> LevelValue:
+        """``next_above`` applied ``n`` times, in one step."""
         match a:
-            case Finite(n):
-                return Finite(n + 1)
-            case OmegaPlus(n):
-                return OmegaPlus(n + 1)
+            case Finite(k):
+                return Finite(k + n)
+            case OmegaPlus(k):
+                return OmegaPlus(k + n)
         raise TypeError(f"Unexpected level value: {a!r}")
 
     def zero(self) -> LevelValue:

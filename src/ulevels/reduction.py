@@ -120,7 +120,7 @@ def par_step_check(before: Term, after: Term, cap: int = 1_000_000) -> bool:
 
 def complete_development(term: Term) -> Term:
     """Fire every redex visible in ``term`` at once, innermost results
-    feeding outer ones."""
+    feeding outer ones. A subterm without a redex comes back as is."""
     kids = children(term)
     if not kids:
         return term
@@ -130,8 +130,11 @@ def complete_development(term: Term) -> Term:
         )
     first = complete_development(kids[0])
     if len(kids) == 1:
-        return type(term)(first)
-    return type(term)(first, complete_development(kids[1]))
+        return term if first is kids[0] else type(term)(first)
+    second = complete_development(kids[1])
+    if first is kids[0] and second is kids[1]:
+        return term
+    return type(term)(first, second)
 
 
 def is_normal(term: Term) -> bool:

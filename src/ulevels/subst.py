@@ -4,6 +4,11 @@ A ``Subst`` carries explicit images for the first ``len(prefix)``
 indices and renames every later index ``len(prefix) + j`` to
 ``Var(shift + j)``. Composition stays in this representation, so the
 usual simultaneous-substitution laws can be checked directly.
+
+``apply`` counts the binders it passes and shifts an image once, where
+the variable occurs, by that count. Every traversal here returns its
+argument itself when no field changed, so unchanged subterms are
+shared, not copied.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     if binds:
         first = shift(term[0], by, cutoff + binds[0])
         if len(binds) == 1:
-            return type(term)(first)
-        return type(term)(first, shift(term[1], by, cutoff + binds[1]))
+            return term if first is term[0] else type(term)(first)
+        second = shift(term[1], by, cutoff + binds[1])
+        if first is term[0] and second is term[1]:
+            return term
+        return type(term)(first, second)
     if type(term) is Var and term[0] >= cutoff:
         return Var(term[0] + by)
     return term
@@ -57,23 +65,29 @@ def lift(s: Subst) -> Subst:
     return Subst((Var(0),) + moved, s.shift + 1)
 
 
-def _under(s: Subst, binds: int) -> Subst:
-    """``s`` pushed under ``binds`` binders."""
-    for _ in range(binds):
-        s = lift(s)
-    return s
-
-
 def apply(s: Subst, term: Term) -> Term:
+    return _apply(s, term, 0)
+
+
+def _apply(s: Subst, term: Term, depth: int) -> Term:
+    """``s`` applied to ``term`` under ``depth`` binders: indices below
+    ``depth`` are bound here, and an image moves out by ``depth``. A
+    variable whose image is itself comes back as is."""
     binds = binders(term)
     if binds:
-        first = apply(_under(s, binds[0]), term[0])
+        first = _apply(s, term[0], depth + binds[0])
         if len(binds) == 1:
-            return type(term)(first)
-        return type(term)(first, apply(_under(s, binds[1]), term[1]))
-    if type(term) is Var:
-        return s.image(term[0])
-    return term
+            return term if first is term[0] else type(term)(first)
+        second = _apply(s, term[1], depth + binds[1])
+        if first is term[0] and second is term[1]:
+            return term
+        return type(term)(first, second)
+    if type(term) is not Var or term[0] < depth:
+        return term
+    out = s.image(term[0] - depth)
+    if depth:
+        out = shift(out, depth, 0)
+    return term if out == term else out
 
 
 def compose(outer: Subst, inner: Subst) -> Subst:
@@ -107,9 +121,13 @@ def strengthen(term: Term, depth: int = 0) -> Term | None:
         if first is None:
             return None
         if len(binds) == 1:
-            return type(term)(first)
+            return term if first is term[0] else type(term)(first)
         second = strengthen(term[1], depth + binds[1])
-        return None if second is None else type(term)(first, second)
+        if second is None:
+            return None
+        if first is term[0] and second is term[1]:
+            return term
+        return type(term)(first, second)
     if type(term) is Var and term[0] >= depth:
         return None if term[0] == depth else Var(term[0] - 1)
     return term

@@ -200,6 +200,102 @@ def test_level_search_decides_at_a_literal(monkeypatch):
     assert calls == []
 
 
+def test_join_skips_a_literal_climb_that_cannot_help(monkeypatch):
+    # A finite literal never climbs to omega, so joining 3 with a
+    # variable below omega climbs from the variable instead.
+    calls = []
+    next_above = levels.LevelDomain.next_above
+
+    def counted(self, value):
+        calls.append(value)
+        return next_above(self, value)
+
+    monkeypatch.setattr(levels.LevelDomain, "next_above", counted)
+    ctx = (LevelLt(OMEGA),)
+    assert TypeChecker()._join_levels(ctx, Lvl(Finite(3)), Var(0)) == OMEGA
+    assert len(calls) < 10
+
+
+def _join_by_full_climbs(tc, ctx, a, b):
+    """The reference join: each climb taken in full, literal tail
+    included, before any level of it is compared."""
+    if tc._level_le(ctx, a, b):
+        return b
+    if tc._level_le(ctx, b, a):
+        return a
+    for cand in list(tc._climb(ctx, a)):
+        if tc._level_le(ctx, b, cand):
+            return cand
+    for cand in list(tc._climb(ctx, b)):
+        if tc._level_le(ctx, a, cand):
+            return cand
+    raise TypingError(
+        f"no common universe above {checker_mod.pretty(a)} and {checker_mod.pretty(b)}"
+    )
+
+
+def _join_outcome(join, tc, ctx, a, b):
+    try:
+        return join(tc, ctx, a, b)
+    except TypingError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _random_level(rng, ctx, domain):
+    lt_vars = [Var(ix) for ix in range(len(ctx))
+               if isinstance(subst.ctx_lookup(ctx, ix), LevelLt)]
+    bots = [Var(ix) for ix in range(len(ctx)) if subst.ctx_lookup(ctx, ix) == Mty()]
+    roll = rng.random()
+    if lt_vars and roll < 0.5:
+        return rng.choice(lt_vars)
+    if bots and roll < 0.6:
+        return Absurd(LevelLt(Lvl(domain.sample(rng))), rng.choice(bots))
+    if roll < 0.65:
+        return Lvl(Finite(rng.randrange(60, 72)))
+    if roll < 0.7:
+        return Mty()  # not a level: no join
+    return Lvl(domain.sample(rng, 12))
+
+
+@pytest.mark.parametrize("root", [5, 66, 67, 68])
+def test_join_climbs_the_literal_tail_to_its_cap(root):
+    # 70 level variables in a chain below the literal ``root``: the
+    # climb from the last one stops at its cap before any literal, but
+    # the context paths reach ``root``, so only the literal climb from 3
+    # (3, 4, ..., 3 + CLIMB_CAP) can find the join.
+    ctx = (LevelLt(Lvl(Finite(root))),) + (LevelLt(Var(0)),) * 69
+    a, b = Lvl(Finite(3)), Var(0)
+    want = _join_outcome(_join_by_full_climbs, TypeChecker(), ctx, a, b)
+    assert _join_outcome(TypeChecker._join_levels, TypeChecker(), ctx, a, b) == want
+    if root <= 3 + checker_mod.CLIMB_CAP:
+        assert want == Lvl(Finite(root))
+    else:
+        assert want.startswith("TypingError: no common universe")
+
+
+@pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)
+def test_join_agrees_with_full_climbs(domain):
+    # Generated contexts, some with a bound near the end of a climb
+    # from a small literal, and level pairs drawn from them.
+    outcomes = {"a": 0, "b": 0, "climbed": 0, "none": 0}
+    for seed in range(500):
+        rng = random.Random(seed)
+        ctx = harness.gen_context(rng, domain)
+        if rng.random() < 0.5:
+            ctx += (LevelLt(_random_level(rng, ctx, domain)),)
+        old, new = TypeChecker(domain), TypeChecker(domain)
+        for _ in range(4):
+            a, b = _random_level(rng, ctx, domain), _random_level(rng, ctx, domain)
+            want = _join_outcome(_join_by_full_climbs, old, ctx, a, b)
+            got = _join_outcome(TypeChecker._join_levels, new, ctx, a, b)
+            assert got == want, (ctx, a, b)
+            if isinstance(want, str):
+                outcomes["none"] += 1
+            else:
+                outcomes["a" if want == a else "b" if want == b else "climbed"] += 1
+    assert all(n >= 20 for n in outcomes.values()), outcomes
+
+
 @pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)
 def test_level_below_iff_derivation_validates(domain):
     # Over generated contexts, the level search answers yes exactly when

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from ulevels import harness
-from ulevels.checker import Derivation, TypeChecker, check, check_derivation
+from ulevels.checker import Derivation, TypeChecker, Verdict, check, check_derivation
 from ulevels.harness import (
     GenConfig,
     RULES,
@@ -21,7 +22,7 @@ from ulevels.harness import (
     shrink_term,
 )
 from ulevels.levels import NAT_OMEGA, domain_named
-from ulevels.reduction import ParExplosion
+from ulevels.reduction import ParExplosion, par_reducts
 from ulevels.subst import subst1
 from ulevels.terms import App, Lam, Lvl, Mty, Term, Var, term_size
 import random
@@ -63,6 +64,50 @@ def test_generated_derivations_equal_a_fresh_check():
         assert check_derivation(case.derivation, domain, CFG.fuel).ok
         fresh = check(case.ctx, case.term, case.ty, domain, CFG.fuel)
         assert _tree_digest(case.derivation, {}) == _tree_digest(fresh.derivation, {})
+
+
+def _same_result(held, fresh) -> bool:
+    if (held.verdict, held.message) != (fresh.verdict, fresh.message):
+        return False
+    if held.verdict is not Verdict.ACCEPTED:
+        return True
+    return _tree_digest(held.derivation, {}) == _tree_digest(fresh.derivation, {})
+
+
+def test_case_checker_agrees_with_fresh_checks_on_reducts():
+    # Subject reduction checks each reduct with the checker that typed
+    # the case; its caches must not change any answer.
+    cfg = GenConfig(seed=29, cases=200)
+    domain = domain_named(cfg.domain_name)
+    verdicts = Counter()
+    for i in range(cfg.cases):
+        tc = TypeChecker(domain, cfg.fuel)
+        case = harness._gen_case(cfg, i, tc)
+        for u in par_reducts(case.term, cap=4000):
+            if u == case.term:
+                continue
+            held = tc.check(case.ctx, u, case.ty)
+            fresh = check(case.ctx, u, case.ty, domain, cfg.fuel)
+            assert _same_result(held, fresh), (i, u)
+            verdicts[held.verdict] += 1
+    assert verdicts[Verdict.ACCEPTED] >= 50, verdicts
+
+
+def test_case_checker_agrees_with_fresh_checks_on_candidates():
+    # Consistency checks a generated case's term against the empty type
+    # with the checker that generated it.
+    cfg = GenConfig(seed=29, cases=400)
+    domain = domain_named(cfg.domain_name)
+    verdicts = Counter()
+    for i in range(1, cfg.cases, 2):
+        tc = TypeChecker(domain, cfg.fuel)
+        candidate = harness._gen_case(cfg, i, tc, closed=True).term
+        held = tc.check((), candidate, Mty())
+        fresh = check((), candidate, Mty(), domain, cfg.fuel)
+        assert _same_result(held, fresh), (i, candidate)
+        verdicts[held.verdict] += 1
+    assert sum(verdicts.values()) == 200
+    assert verdicts[Verdict.ACCEPTED] == 0, verdicts
 
 
 def test_checker_returns_the_memoized_inference():
@@ -128,6 +173,27 @@ def test_subject_reduction_counts_its_fallbacks(monkeypatch):
     assert report.ok, report.summary()
     assert report.fallbacks == cfg.cases
     assert f"fallbacks={cfg.cases} " in report.summary()
+
+
+# The stream digests and counts of every suite at one seed; a change
+# that alters what the suites generate or decide shows here.
+PINNED_SUMMARIES = {
+    "subject-reduction": "a605d02b4cfe24e4",
+    "coverage": "a605d02b4cfe24e4",
+    "diamond": "49df8c8e315c8a72",
+    "progress": "d822a52922a0971d",
+    "canonicity": "d822a52922a0971d",
+    "consistency": "5535c3678f5bc451",
+}
+
+
+def test_suite_digests_are_pinned():
+    cfg = GenConfig(seed=7, cases=200)
+    got = {}
+    for name in SUITES:
+        r = run_suite(name, cfg)
+        got[name] = (r.digest, len(r.failures), r.undecided, r.fallbacks)
+    assert got == {name: (d, 0, 0, 0) for name, d in PINNED_SUMMARIES.items()}
 
 
 def test_suite_reports_are_reproducible():

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gen import level_values, finite_levels
 from ulevels.levels import (
@@ -30,6 +31,14 @@ def test_next_above_frozen_values():
     assert NAT.next_above(Finite(3)) == Finite(4)
     assert NAT_OMEGA.next_above(Finite(7)) == Finite(8)
     assert NAT_OMEGA.next_above(OmegaPlus(0)) == OmegaPlus(1)
+
+
+@given(level_values, st.integers(0, 5))
+def test_nth_above_is_repeated_next_above(a, n):
+    b = a
+    for _ in range(n):
+        b = NAT_OMEGA.next_above(b)
+    assert NAT_OMEGA.nth_above(a, n) == b
 
 
 def _table_lt(a, b) -> bool:

@@ -117,6 +117,13 @@ def test_triangle_property(t):
         assert target in par_reducts(b), (t, b)
 
 
+@given(terms(free=2, budget=6))
+def test_complete_development_returns_a_normal_term(t):
+    normal, done = pars(t, 20)
+    if done:
+        assert complete_development(normal) is normal
+
+
 def test_omega_loop_is_development_fixpoint_but_not_normal():
     assert complete_development(OMEGA_LOOP) == OMEGA_LOOP
     assert not is_normal(OMEGA_LOOP)

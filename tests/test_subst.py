@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import named_oracle as no
 from gen import subst_image_scope, substs, terms
+from ulevels import subst
 from ulevels.levels import Finite
 from ulevels.subst import (
     Subst,
@@ -17,9 +18,10 @@ from ulevels.subst import (
     ctx_lookup,
     lift,
     shift,
+    strengthen,
     subst1,
 )
-from ulevels.terms import App, Lam, Lvl, Mty, Pi, Univ, Var
+from ulevels.terms import App, Lam, Lvl, Mty, Pi, Univ, Var, term_size
 
 
 def _names(n: int) -> list[str]:
@@ -98,7 +100,50 @@ def test_apply_of_composition_is_nested_apply(t, s_inner, s_outer):
 
 @given(terms(free=3))
 def test_identity_subst_is_identity(t):
-    assert apply(Subst((), 0), t) == t
+    # Nothing changes, so the term itself comes back, not a copy.
+    assert apply(Subst((), 0), t) is t
+
+
+# Sharing: a traversal that changes nothing returns its argument (see
+# also test_identity_subst_is_identity).
+
+
+@given(terms(free=3), st.integers(0, 3))
+def test_shift_above_every_free_variable_returns_its_argument(t, by):
+    assert shift(t, by, 3) is t
+
+
+@given(terms(free=3))
+def test_strengthen_above_every_free_variable_returns_its_argument(t):
+    assert strengthen(t, 3) is t
+
+
+def test_subst1_shifts_only_where_the_variable_occurs(monkeypatch):
+    calls = []
+    original = subst.shift
+
+    def counted(term, by, cutoff=0):
+        calls.append(by)
+        return original(term, by, cutoff)
+
+    monkeypatch.setattr(subst, "shift", counted)
+    arg = Lam(Mty(), Var(1))
+    tower = Var(0)
+    for _ in range(200):
+        tower = Lam(Mty(), tower)
+    # The innermost Var(0) is bound: the substituted variable never occurs.
+    assert subst1(tower, arg) is tower
+    assert calls == []
+    # Where it occurs, under 200 binders, its image is shifted once:
+    # one call per node of the image.
+    occurs = Var(200)
+    for _ in range(200):
+        occurs = Lam(Mty(), occurs)
+    out = subst1(occurs, arg)
+    assert calls == [200] * term_size(arg)
+    for _ in range(200):
+        out = out.body
+    assert out == shift(arg, 200, 0)
 
 
 @given(terms(free=3), substs(free=3))
