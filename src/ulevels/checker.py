@@ -22,6 +22,7 @@ out inside conversion). Rejections carry diagnostics.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -833,33 +834,34 @@ class TypeChecker:
         )
 
     def _first_above(self, ctx: Context, lo: Term, hi: Term) -> Term | None:
-        """The first level of ``_climb(ctx, lo)`` at or above ``hi``.
+        """The first level of ``_climb(ctx, lo)`` past ``lo`` at or above
+        ``hi``; the caller has compared ``lo`` itself.
 
         Past its first literal a climb meets only the next literals of
-        the same tier, and a level below one literal is below every
-        larger one. So the literal tail is climbed only when ``hi`` is
-        below its last literal, which ``nth_above`` names directly."""
-        climb = self._climb(ctx, lo)
+        the same tier, ``nth_above(first, k)``, and a level below one
+        literal is below every larger one. So that tail is searched by
+        bisection on ``k``."""
         # Every level up to the first literal is climbed before any is
         # compared, so a climb that raises does so first.
         levels = []
-        for cand in climb:
+        for cand in self._climb(ctx, lo):
             levels.append(cand)
             if isinstance(cand, Lvl):
                 break
-        for cand in levels:
+        for cand in levels[1:]:
             if self._level_le(ctx, hi, cand):
                 return cand
         first = levels[-1]
         if not isinstance(first, Lvl):
             return None
+
+        def nth(k: int) -> Term:
+            return Lvl(self.domain.nth_above(first.value, k))
+
         # The climb takes at most CLIMB_CAP steps in all.
-        last = Lvl(self.domain.nth_above(first.value, CLIMB_CAP + 1 - len(levels)))
-        if self._level_le(ctx, hi, last):
-            for cand in climb:
-                if self._level_le(ctx, hi, cand):
-                    return cand
-        return None
+        tail = range(1, CLIMB_CAP + 2 - len(levels))
+        i = bisect_left(tail, True, key=lambda k: self._level_le(ctx, hi, nth(k)))
+        return nth(tail[i]) if i < len(tail) else None
 
     def _strengthen_level(self, ctx2: Context, k: Term) -> Term:
         """Rewrite a level valid under one extra binder into one that

@@ -1,5 +1,10 @@
 """Parallel reduction, complete development, and call-by-name evaluation.
 
+A parallel step is decided structurally. At a redex the complete
+development, always a parallel reduct (Takahashi 1995), is tried before
+any reduct set is enumerated. Enumeration is capped by the reduct pairs
+it combines; past the cap ``ParExplosion`` is raised, which is no answer.
+
 Conversion is joinability: normalize both sides as far as the fuel
 allows and compare. Running out of fuel is a third verdict, distinct
 from inequality, and callers must treat it as such.
@@ -40,26 +45,7 @@ DEFAULT_FUEL = 10_000
 
 
 class ParExplosion(Exception):
-    """The one-step parallel reduct set exceeded the requested cap."""
-
-
-def _pairs(xs, ys, guard):
-    for x in xs:
-        for y in ys:
-            guard()
-            yield x, y
-
-
-def _spender(cap: int):
-    """A guard for ``_pairs`` that raises ParExplosion on call cap+1."""
-    left = [cap]
-
-    def spend():
-        left[0] -= 1
-        if left[0] < 0:
-            raise ParExplosion(f"more than {cap} parallel reducts")
-
-    return spend
+    """A parallel-reduct enumeration passed the requested cap."""
 
 
 def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
@@ -67,9 +53,18 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
     the relation is reflexive by congruence).
 
     Exhaustive, so worst-case exponential in the number of nested
-    applications; ``cap`` bounds the total work.
-    """
-    spend = _spender(cap)
+    applications. A binary node pairs its children's reducts, and a
+    redex ``App(Lam(A, b), s)`` also fires each reduct of ``b`` (built
+    once for both) at each reduct of ``s``. ``cap`` bounds the pairs of
+    the whole call; each product is charged before it is enumerated."""
+    left = cap
+
+    def product(make, xs, ys) -> list[Term]:
+        nonlocal left
+        left -= len(xs) * len(ys)
+        if left < 0:
+            raise ParExplosion(f"more than {cap} reduct pairs")
+        return [make(x, y) for x in xs for y in ys]
 
     def go(t: Term) -> frozenset[Term]:
         kids = children(t)
@@ -78,17 +73,16 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
         make = type(t)
         if len(kids) == 1:
             return frozenset(make(x) for x in go(kids[0]))
-        if make is not App:
-            pairs = _pairs(go(kids[0]), go(kids[1]), spend)
-            return frozenset(make(x, y) for x, y in pairs)
-        fn, args = kids[0], go(kids[1])
-        out = set(App(x, y) for x, y in _pairs(go(fn), args, spend))
-        if type(fn) is Lam:
-            # Firing the redex drops the annotation and substitutes a
-            # reduct of the argument into a reduct of the body.
-            for body, a in _pairs(go(fn.body), args, spend):
-                out.add(subst.subst1(body, a))
-        return frozenset(out)
+        if make is not App or type(kids[0]) is not Lam:
+            return frozenset(product(make, go(kids[0]), go(kids[1])))
+        # Firing the redex drops the annotation and substitutes a
+        # reduct of the argument into a reduct of the body.
+        ann, body = kids[0]
+        bodies, args = go(body), go(kids[1])
+        fns = product(Lam, go(ann), bodies)
+        return frozenset(
+            product(App, fns, args) + product(subst.subst1, bodies, args)
+        )
 
     return go(term)
 
@@ -96,11 +90,11 @@ def par_reducts(term: Term, cap: int = 1_000_000) -> frozenset[Term]:
 def par_step_check(before: Term, after: Term, cap: int = 1_000_000) -> bool:
     """Does ``before`` parallel-step to ``after``? Decided by structural
     recursion on ``before`` (Takahashi's definition of the relation):
-    congruence compares heads and recurses. Only at a redex
-    ``App(Lam(A, b), s)`` that does not step to ``after`` by congruence
-    are the reducts of ``b`` and ``s`` enumerated and each ``subst1``
-    compared with ``after``; ``cap`` bounds each of those enumerations
-    and their product, as in ``par_reducts``."""
+    congruence compares heads and recurses. A redex ``App(Lam(A, b), s)``
+    that does not step to ``after`` by congruence is compared with its
+    complete development, and only when that misses are the reducts of
+    ``b`` and ``s`` enumerated (each within ``cap``) and each ``subst1``
+    compared; their product is charged to ``cap`` before enumerating."""
     kids = children(before)
     if not kids:
         return before == after
@@ -113,9 +107,12 @@ def par_step_check(before: Term, after: Term, cap: int = 1_000_000) -> bool:
     fn = kids[0]
     if type(before) is not App or type(fn) is not Lam:
         return False
+    if complete_development(before) == after:
+        return True
     bodies, args = par_reducts(fn.body, cap), par_reducts(kids[1], cap)
-    pairs = _pairs(bodies, args, _spender(cap))
-    return any(subst.subst1(body, a) == after for body, a in pairs)
+    if len(bodies) * len(args) > cap:
+        raise ParExplosion(f"more than {cap} reduct pairs")
+    return any(subst.subst1(b, a) == after for b in bodies for a in args)
 
 
 def complete_development(term: Term) -> Term:

@@ -216,6 +216,22 @@ def test_join_skips_a_literal_climb_that_cannot_help(monkeypatch):
     assert len(calls) < 10
 
 
+def test_join_bisects_the_literal_tail(monkeypatch):
+    # Joining 3 with a variable below 60 finds 60 in the literal tail
+    # 4, 5, ... of the climb from 3; the tail is bisected, not climbed.
+    calls = []
+    level_le = TypeChecker._level_le
+
+    def counted(self, ctx, a, b):
+        calls.append(b)
+        return level_le(self, ctx, a, b)
+
+    monkeypatch.setattr(TypeChecker, "_level_le", counted)
+    ctx = (LevelLt(Lvl(Finite(60))),)
+    assert TypeChecker()._join_levels(ctx, Lvl(Finite(3)), Var(0)) == Lvl(Finite(60))
+    assert len(calls) <= 8, calls
+
+
 def _join_by_full_climbs(tc, ctx, a, b):
     """The reference join: each climb taken in full, literal tail
     included, before any level of it is compared."""

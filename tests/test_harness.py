@@ -175,6 +175,18 @@ def test_subject_reduction_counts_its_fallbacks(monkeypatch):
     assert f"fallbacks={cfg.cases} " in report.summary()
 
 
+def test_diamond_counts_explosions_as_undecided(monkeypatch):
+    def explode(term, cap=0):
+        raise ParExplosion("forced")
+
+    cfg = GenConfig(seed=11, cases=20)
+    monkeypatch.setattr(harness, "par_reducts", explode)
+    report = run_suite("diamond", cfg)
+    assert report.failures == (), report.summary()
+    assert report.undecided == cfg.cases
+    assert f"undecided={cfg.cases} " in report.summary()
+
+
 # The stream digests and counts of every suite at one seed; a change
 # that alters what the suites generate or decide shows here.
 PINNED_SUMMARIES = {

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 
 import random
 
+import pytest
+
 from gen import terms
+from ulevels import reduction, subst
 from ulevels.harness import gen_raw
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
     Convertibility,
     EvalOutcome,
+    ParExplosion,
     cbn_eval,
     cbn_step,
     complete_development,
@@ -96,6 +100,80 @@ def test_par_step_check_agrees_with_reduct_membership():
                 assert got == (v in members), (t, u, v)
                 answers[got] += 1
     assert answers[True] > 0 and answers[False] > 0, answers
+
+
+def _tower(depth):
+    """``t0 = Var(0)``, ``tn = App(Lam(Mty(), t(n-1)), Mty())``: a redex
+    nested in the body of a redex ``depth`` times."""
+    t = Var(0)
+    for _ in range(depth):
+        t = App(Lam(Mty(), t), Mty())
+    return t
+
+
+def _count_subst1(monkeypatch):
+    calls = []
+    subst1 = subst.subst1
+
+    def counted(body, arg):
+        calls.append(body)
+        return subst1(body, arg)
+
+    monkeypatch.setattr(subst, "subst1", counted)
+    return calls
+
+
+def test_par_reducts_builds_each_body_once(monkeypatch):
+    t = _tower(8)
+    developed = complete_development(t)
+    calls = _count_subst1(monkeypatch)
+    assert developed in par_reducts(t)
+    assert len(calls) <= 60, len(calls)
+
+
+def test_par_step_check_tries_the_development_first(monkeypatch):
+    # A redex steps to its complete development without any reduct set
+    # being enumerated.
+    redexes = [
+        App(IDENT, App(IDENT, Mty())),
+        OMEGA_LOOP,
+        App(Lam(Mty(), Pi(Var(0), App(IDENT, Var(0)))), App(IDENT, Mty())),
+        _tower(8),
+    ]
+    developed = [complete_development(t) for t in redexes]
+
+    def refuse(term, cap=0):
+        raise AssertionError(f"enumerated the reducts of {term!r}")
+
+    monkeypatch.setattr(reduction, "par_reducts", refuse)
+    for t, d in zip(redexes, developed):
+        assert par_step_check(t, d)
+    calls = _count_subst1(monkeypatch)
+    assert par_step_check(redexes[-1], developed[-1])
+    assert len(calls) <= 8, len(calls)
+
+
+def test_par_reducts_cap_counts_each_product_once():
+    # Products charged: the body Pi(#0, #0) pairs 1 x 1; the argument
+    # (an identity redex) pairs annotation x body 1, then App 1 x 1 and
+    # firing 1 x 1; the outer Lam pairs 1 x 1, App 1 x 2, firing 1 x 2.
+    t = App(Lam(Mty(), Pi(Var(0), Var(0))), App(IDENT, Mty()))
+    total = 1 + 3 + 1 + 2 + 2
+    assert len(par_reducts(t, cap=total)) == 4
+    with pytest.raises(ParExplosion):
+        par_reducts(t, cap=total - 1)
+
+
+def test_par_step_check_charges_the_enumeration_before_it():
+    # Firing only the outer redex is no congruence step and not the
+    # complete development Univ(Mty()), so the two reducts of the body
+    # and the two of the argument are enumerated: 4 pairs, each set
+    # within a cap of 3 (3 pairs apiece).
+    before = App(Lam(Mty(), Univ(App(IDENT, Var(0)))), App(IDENT, Mty()))
+    after = Univ(App(IDENT, App(IDENT, Mty())))
+    assert par_step_check(before, after, cap=4)
+    with pytest.raises(ParExplosion):
+        par_step_check(before, after, cap=3)
 
 
 @given(terms(free=2, budget=5))
