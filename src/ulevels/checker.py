@@ -612,6 +612,13 @@ class TypeChecker:
         return out
 
     def _conv(self, a: Term, b: Term) -> bool:
+        # Equal sides are convertible and two distinct literals are not,
+        # whatever the fuel; ``convertible`` would normalize both sides
+        # to give the same answer.
+        if a == b:
+            return True
+        if type(a) is Lvl and type(b) is Lvl:
+            return False
         verdict = convertible(a, b, self.fuel)
         if verdict is Convertibility.UNDECIDED:
             raise FuelError(
@@ -801,7 +808,7 @@ class TypeChecker:
         """Lift d : A : U k to A : U target_level."""
         assert isinstance(d.ty, Univ)
         k = d.ty.level
-        if alpha_equal(k, target_level) or self._conv(k, target_level):
+        if self._conv(k, target_level):
             return self._conv_to(d, Univ(target_level))
         nk = self._norm(k)
         nt = self._norm(target_level)
@@ -1067,7 +1074,7 @@ class TypeChecker:
 
     def _subsume(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         actual, d = self.infer(ctx, t)
-        if alpha_equal(actual, expected) or self._conv(actual, expected):
+        if self._conv(actual, expected):
             return self._conv_to(d, expected)
         n_actual = self._norm(actual)
         n_expected = self._norm(expected)

@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import subst
 from .checker import (
@@ -118,7 +118,7 @@ def _rng_for(cfg: GenConfig, index: int) -> random.Random:
     return random.Random(f"{cfg.seed}/{index}")
 
 
-def _weighted(rng: random.Random, options: list[tuple[str, int]]) -> str:
+def _weighted(rng: random.Random, options: Sequence[tuple[str, int]]) -> str:
     total = sum(w for _, w in options)
     roll = rng.randrange(total)
     for tag, w in options:
@@ -175,14 +175,23 @@ def gen_context(rng: random.Random, domain: LevelDomain) -> Context:
     return tuple(entries)
 
 
-def _vars_of(ctx: Context, pred: Callable[[Term], bool]) -> list[int]:
-    return [ix for ix in range(len(ctx)) if pred(subst.ctx_lookup(ctx, ix))]
+def _scope(ctx: Context) -> tuple[list[Term], dict[type, list[int]]]:
+    """The type of each variable of ``ctx``, by index, and the indices
+    grouped by the class of their type."""
+    types: list[Term] = []
+    by_class: dict[type, list[int]] = {}
+    for ix in range(len(ctx)):
+        ty = subst.ctx_lookup(ctx, ix)
+        types.append(ty)
+        by_class.setdefault(type(ty), []).append(ix)
+    return types, by_class
 
 
 def gen_type(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int) -> Term:
-    lt_ixs = _vars_of(ctx, lambda t: isinstance(t, LevelLt))
-    ty_ixs = _vars_of(ctx, lambda t: isinstance(t, Univ))
-    bot_ixs = _vars_of(ctx, lambda t: t == Mty())
+    _, by_class = _scope(ctx)
+    lt_ixs = by_class.get(LevelLt)
+    ty_ixs = by_class.get(Univ)
+    bot_ixs = by_class.get(Mty)
     options = [("bot", 2), ("ulit", 3), ("ltlit", 3)]
     if budget > 2:
         options.append(("pi", 3))
@@ -212,10 +221,17 @@ def gen_type(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int)
     return Pi(dom, cod)
 
 
-def _inhabit(rng: random.Random, ctx: Context, want: Term, domain: LevelDomain) -> Term | None:
-    """Cheap inhabitant of ``want`` in ``ctx``, or None."""
-    for ix in range(len(ctx)):
-        if subst.ctx_lookup(ctx, ix) == want:
+def _inhabit(
+    rng: random.Random,
+    types: list[Term],
+    bot_ixs: list[int] | None,
+    want: Term,
+    domain: LevelDomain,
+) -> Term | None:
+    """Cheap inhabitant of ``want`` in a context whose variables have
+    ``types`` (``bot_ixs`` those of type Bot), or None."""
+    for ix, ty in enumerate(types):
+        if ty == want:
             return Var(ix)
     match want:
         case Univ(_):
@@ -224,8 +240,7 @@ def _inhabit(rng: random.Random, ctx: Context, want: Term, domain: LevelDomain) 
             below = domain.sample_below(rng, bound)
             return Lvl(below) if below is not None else None
         case Mty():
-            bots = _vars_of(ctx, lambda t: t == Mty())
-            return Var(rng.choice(bots)) if bots else None
+            return Var(rng.choice(bot_ixs)) if bot_ixs else None
     return None
 
 
@@ -233,8 +248,9 @@ def gen_term(rng: random.Random, ctx: Context, tc: TypeChecker, budget: int) -> 
     """Random well-typed term in ``ctx``; ``tc`` types redex arguments
     and supplies the level domain."""
     domain = tc.domain
-    bot_ixs = _vars_of(ctx, lambda t: t == Mty())
-    pi_ixs = _vars_of(ctx, lambda t: isinstance(t, Pi))
+    types, by_class = _scope(ctx)
+    bot_ixs = by_class.get(Mty)
+    pi_ixs = by_class.get(Pi)
     options = [("lvl", 4), ("type", 3)]
     if ctx:
         options.append(("var", 4))
@@ -270,8 +286,7 @@ def gen_term(rng: random.Random, ctx: Context, tc: TypeChecker, budget: int) -> 
         ann = gen_type(rng, ctx, domain, max(1, budget - 1))
         return Absurd(ann, Var(rng.choice(bot_ixs)))
     pix = rng.choice(pi_ixs)
-    pi_ty = subst.ctx_lookup(ctx, pix)
-    arg = _inhabit(rng, ctx, pi_ty.dom, domain)
+    arg = _inhabit(rng, types, bot_ixs, types[pix].dom, domain)
     if arg is None:
         return gen_term(rng, ctx, tc, max(1, budget - 1))
     return App(Var(pix), arg)
@@ -349,19 +364,20 @@ def gen_well_typed(cfg: GenConfig, closed: bool = False) -> Iterator[GenCase]:
         yield gen_case(cfg, i, domain, closed)
 
 
+_RAW_LEAVES = (("var", 3), ("lvl", 2), ("bot", 2))
+_RAW_NODES = (("app", 5), ("lam", 4), ("pi", 2), ("univ", 2), ("lt", 2), ("absurd", 1))
+
+
 def gen_raw(rng: random.Random, size: int, free: int = 3) -> Term:
     """Arbitrary syntactically valid term; no typing discipline at all."""
     if size <= 1:
-        tag = _weighted(rng, [("var", 3), ("lvl", 2), ("bot", 2)])
+        tag = _weighted(rng, _RAW_LEAVES)
         if tag == "var":
             return Var(rng.randrange(max(1, free + 1)))
         if tag == "lvl":
             return Lvl(NAT_OMEGA.sample(rng, 3))
         return Mty()
-    tag = _weighted(
-        rng,
-        [("app", 5), ("lam", 4), ("pi", 2), ("univ", 2), ("lt", 2), ("absurd", 1)],
-    )
+    tag = _weighted(rng, _RAW_NODES)
     half = size // 2
     if tag == "app":
         if rng.random() < 0.55:
@@ -705,15 +721,20 @@ def run_coverage(cfg: GenConfig) -> PropertyReport:
     coverage = tuple(
         (rule, counts[rule] / produced if produced else 0.0) for rule in RULES
     )
+    # Cases that ran out of fuel are missing from the sample, so a rare
+    # rule may be rare only because the fuel was short; an empty sample
+    # shows no rule at all.
+    if tally.undecided:
+        short = f"{tally.undecided} cases ran out of fuel"
+    elif not produced:
+        short = "no case was generated"
+    else:
+        short = None
     for rule, frac in coverage:
         if frac < 0.01:
             msg = f"rule {rule} appears in {100.0 * frac:.2f}% of cases (< 1%)"
-            # Cases that ran out of fuel are missing from the sample, so
-            # a rare rule may be rare only because the fuel was short.
-            if tally.undecided:
-                tally.inconclusive.append(
-                    f"{msg}; {tally.undecided} cases ran out of fuel"
-                )
+            if short:
+                tally.inconclusive.append(f"{msg}; {short}")
             else:
                 tally.fail(msg)
     return tally.report(cfg.cases, coverage)

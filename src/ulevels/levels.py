@@ -58,14 +58,15 @@ _FINITE_RE = re.compile(r"0|[1-9][0-9]*")
 _OMEGA_RE = re.compile(r"omega(\+(?P<off>[1-9][0-9]*))?")
 
 
+_TIERS = {Finite: 0, OmegaPlus: 1}
+
+
 def _key(value: LevelValue) -> tuple[int, int]:
     # (tier, offset); lexicographic order on this pair is the level order.
-    match value:
-        case Finite(n):
-            return (0, n)
-        case OmegaPlus(n):
-            return (1, n)
-    raise TypeError(f"Unexpected level value: {value!r}")
+    tier = _TIERS.get(type(value))
+    if tier is None:
+        raise TypeError(f"Unexpected level value: {value!r}")
+    return (tier, value[0])
 
 
 class LevelDomain:
@@ -90,12 +91,8 @@ class LevelDomain:
 
     def nth_above(self, a: LevelValue, n: int) -> LevelValue:
         """``next_above`` applied ``n`` times, in one step."""
-        match a:
-            case Finite(k):
-                return Finite(k + n)
-            case OmegaPlus(k):
-                return OmegaPlus(k + n)
-        raise TypeError(f"Unexpected level value: {a!r}")
+        _, k = _key(a)
+        return type(a)(k + n)
 
     def zero(self) -> LevelValue:
         return Finite(0)

@@ -29,6 +29,7 @@ from ulevels.checker import (
     search_derivation,
 )
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
+from ulevels.reduction import Convertibility, convertible
 from ulevels.terms import (
     Absurd,
     App,
@@ -424,6 +425,44 @@ def test_cumulativity_lifts_universes():
 def test_conversion_in_expected_type():
     expected = Univ(App(Lam(LevelLt(OMEGA), Var(0)), Lvl(Finite(1))))
     accepted((), U(0), expected)
+
+
+def _early_conversions():
+    # Equal but separately built sides, one of them out of fuel.
+    for build in (lambda: U(2), lambda: Pi(U(0), Var(0)), lambda: LOOP):
+        yield NAT_OMEGA, build(), build()
+    yield NAT_OMEGA, LOOP, LOOP
+    # Literal pairs in both shipped domains.
+    nat = [Finite(n) for n in range(4)]
+    nat_omega = nat[:3] + [OmegaPlus(n) for n in range(3)]
+    for domain, values in ((NAT, nat), (NAT_OMEGA, nat_omega)):
+        for a in values:
+            for b in values:
+                yield domain, Lvl(a), Lvl(b)
+
+
+def test_conv_answers_equal_sides_and_literals_as_convertible_does(monkeypatch):
+    fuel = 5
+    cases = [
+        (domain, a, b, convertible(a, b, fuel))
+        for domain, a, b in _early_conversions()
+    ]
+
+    def unexpected(*args):
+        raise AssertionError("convertible called on an early answer")
+
+    monkeypatch.setattr(checker_mod, "convertible", unexpected)
+    for domain, a, b, expected in cases:
+        assert expected is not Convertibility.UNDECIDED
+        tc = TypeChecker(domain, fuel)
+        assert tc._conv(a, b) is (expected is Convertibility.YES), (a, b)
+
+
+def test_conv_still_runs_out_of_fuel_on_distinct_sides():
+    tc = TypeChecker(NAT_OMEGA, 5)
+    with pytest.raises(FuelError):
+        tc._conv(LOOP, Mty())
+    assert convertible(LOOP, Mty(), 5) is Convertibility.UNDECIDED
 
 
 def test_annotated_absurd_universe_is_accepted():

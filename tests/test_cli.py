@@ -286,6 +286,15 @@ def test_fuzz_coverage_gate_is_undecided_at_low_fuel(capsys):
     assert "FAIL" not in out
 
 
+def test_fuzz_coverage_gate_is_undecided_on_an_empty_sample(capsys):
+    code = run_cli(["fuzz", "--suite", "coverage", "--cases", "0"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "UNDECIDED rule Conv" in out
+    assert "no case was generated" in out
+    assert "FAIL" not in out
+
+
 def test_fuzz_coverage_gate_fails_without_fuel_exhaustion(capsys):
     code = run_cli(["fuzz", "--suite", "coverage", "--cases", "5"])
     out = capsys.readouterr().out

@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from ulevels import harness
+from ulevels import checker as checker_mod
+from ulevels import harness, subst
 from ulevels.checker import Derivation, TypeChecker, Verdict, check, check_derivation
 from ulevels.harness import (
     GenConfig,
@@ -26,6 +27,7 @@ from ulevels.reduction import ParExplosion, par_reducts
 from ulevels.subst import subst1
 from ulevels.terms import App, Lam, Lvl, Mty, Term, Var, term_size
 import random
+import sys
 
 CFG = GenConfig(seed=11, cases=120)
 
@@ -136,6 +138,46 @@ def test_distinct_seeds_give_distinct_streams():
     assert a != b
 
 
+def _linear_weighted(rng: random.Random, options) -> str:
+    """One ``randrange`` over the total weight, then a linear scan: the
+    draw that fixes the generators' stream, kept as its oracle."""
+    total = sum(w for _, w in options)
+    roll = rng.randrange(total)
+    for tag, w in options:
+        roll -= w
+        if roll < 0:
+            return tag
+    return options[-1][0]
+
+
+def _generator_tables(monkeypatch) -> dict[tuple, str]:
+    """Each option table the typed generators draw from over a run of
+    cases, with the generator that built it."""
+    tables: dict[tuple, str] = {}
+    draw = harness._weighted
+
+    def recorded(rng, options):
+        tables.setdefault(tuple(options), sys._getframe(1).f_code.co_name)
+        return draw(rng, options)
+
+    monkeypatch.setattr(harness, "_weighted", recorded)
+    for _ in gen_well_typed(GenConfig(seed=11, cases=200)):
+        pass
+    monkeypatch.undo()
+    return tables
+
+
+def test_weighted_draws_the_linear_scan_stream(monkeypatch):
+    tables = _generator_tables(monkeypatch)
+    assert set(tables.values()) == {"gen_context", "gen_type", "gen_term"}
+    tables.update({harness._RAW_LEAVES: "gen_raw", harness._RAW_NODES: "gen_raw"})
+    for n, options in enumerate(tables):
+        got, want = random.Random(f"draws/{n}"), random.Random(f"draws/{n}")
+        for _ in range(2000):
+            assert harness._weighted(got, options) == _linear_weighted(want, options)
+            assert got.getstate() == want.getstate()
+
+
 def test_gen_raw_is_deterministic_and_sized():
     a = gen_raw(random.Random("s/1"), 12)
     b = gen_raw(random.Random("s/1"), 12)
@@ -206,6 +248,61 @@ def test_suite_digests_are_pinned():
         r = run_suite(name, cfg)
         got[name] = (r.digest, len(r.failures), r.undecided, r.fallbacks)
     assert got == {name: (d, 0, 0, 0) for name, d in PINNED_SUMMARIES.items()}
+
+
+# The same, in the naturals-only domain.
+PINNED_NAT_SUMMARIES = {
+    "subject-reduction": "e7685a6ecaa8d4c4",
+    "coverage": "e7685a6ecaa8d4c4",
+    "diamond": "49df8c8e315c8a72",
+    "progress": "ea1b1824bbbae09e",
+    "canonicity": "ea1b1824bbbae09e",
+    "consistency": "ade68e0fc40e7331",
+}
+
+
+def test_nat_suite_digests_are_pinned():
+    cfg = GenConfig(seed=7, cases=200, domain_name="nat")
+    got = {}
+    for name in SUITES:
+        r = run_suite(name, cfg)
+        got[name] = (r.digest, len(r.failures), r.undecided, r.fallbacks)
+    assert got == {name: (d, 0, 0, 0) for name, d in PINNED_NAT_SUMMARIES.items()}
+
+
+# A digest of the derivation trees the checker emits for 300 generated
+# cases in each shipped domain; a change to what it emits shows here.
+PINNED_DERIVATIONS = {"nat-omega": "99c06261a2db0cee", "nat": "50cbabf8781c0cd6"}
+
+
+@pytest.mark.parametrize("domain_name", sorted(PINNED_DERIVATIONS))
+def test_emitted_derivations_are_pinned(domain_name):
+    h = hashlib.sha256()
+    for case in gen_well_typed(GenConfig(seed=13, cases=300, domain_name=domain_name)):
+        h.update(_tree_digest(case.derivation, {}))
+    assert h.hexdigest()[:16] == PINNED_DERIVATIONS[domain_name]
+
+
+def test_subject_reduction_conversions_and_lookups_are_counted(monkeypatch):
+    # Equal sides and literal pairs are decided without normalizing,
+    # and the generators read each context's types once per call.
+    counts = Counter()
+    convertible, ctx_lookup = checker_mod.convertible, subst.ctx_lookup
+
+    def counted_convertible(*args):
+        counts["convertible"] += 1
+        return convertible(*args)
+
+    def counted_lookup(ctx, ix):
+        counts["ctx_lookup"] += 1
+        return ctx_lookup(ctx, ix)
+
+    monkeypatch.setattr(checker_mod, "convertible", counted_convertible)
+    monkeypatch.setattr(subst, "ctx_lookup", counted_lookup)
+    report = run_suite("subject-reduction", GenConfig(seed=7, cases=200))
+    assert report.digest == PINNED_SUMMARIES["subject-reduction"]
+    assert counts["convertible"] <= 111, counts
+    assert counts["ctx_lookup"] <= 1261, counts
 
 
 def test_suite_reports_are_reproducible():
