@@ -29,6 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .levels import Finite, LevelDomain, NAT_OMEGA, OmegaPlus, domain_named
+from .node import Node
 from .reduction import (
     Convertibility,
     DEFAULT_FUEL,
@@ -83,16 +84,22 @@ CLIMB_CAP = 64
 # Derivation trees
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Node):
     """One rule application. Context judgments (Nil/Cons) leave term and
     ty as None; typing judgments fill both."""
 
-    rule: str
-    ctx: Context
-    term: Term | None
-    ty: Term | None
-    premises: tuple["Derivation", ...] = ()
+    __slots__ = ()
+    __match_args__ = ("rule", "ctx", "term", "ty", "premises")
+
+    def __new__(
+        cls,
+        rule: str,
+        ctx: Context,
+        term: Term | None,
+        ty: Term | None,
+        premises: tuple[Derivation, ...] = (),
+    ) -> Derivation:
+        return tuple.__new__(cls, (rule, ctx, term, ty, premises))
 
 
 @dataclass(frozen=True)
@@ -240,9 +247,15 @@ _SHAPES: dict[str, _Shape] = {
 RULES = tuple(_SHAPES)
 
 
-def _shape_error(node: Derivation) -> str | None:
-    """How ``node`` departs from the shape of its rule, or None."""
-    r, term, ty, ps = node.rule, node.term, node.ty, node.premises
+def _shape_error(
+    r: str,
+    ctx: Context,
+    term: Term | None,
+    ty: Term | None,
+    ps: tuple[Derivation, ...],
+) -> str | None:
+    """How a node, given by its fields, departs from the shape of its
+    rule, or None."""
     shape = _SHAPES.get(r)
     if shape is None:
         return f"{r}: unknown rule"
@@ -258,34 +271,45 @@ def _shape_error(node: Derivation) -> str | None:
         return f"{r}: type must be {ty_class.__name__}"
     if len(ps) != len(wanted):
         return f"{r}: has {len(ps)} premises, not {len(wanted)}"
-    ctx = node.ctx if typing else node.ctx[:-1]
+    if not typing:
+        ctx = ctx[:-1]
     for i, p in enumerate(ps):
         p_class, binder, p_typing = wanted[i]
-        kind = _SHAPES.get(p.rule)
+        p_rule, p_ctx, p_term, p_ty, _ = p
+        kind = _SHAPES.get(p_rule)
         if kind is None or kind.typing != p_typing:
             judgment = "typing" if p_typing else "context"
             return f"{r}: premises[{i}] must be a {judgment} judgment"
-        if p.ctx != (ctx + (term[0],) if binder else ctx):
+        if p_ctx != (ctx + (term[0],) if binder else ctx):
             return f"{r}: premises[{i}] is in the wrong context"
         if p_typing:
-            if p.term is None or p.ty is None:
+            if p_term is None or p_ty is None:
                 return f"{r}: premises[{i}] has no subject or type"
-            if p_class is not None and not isinstance(p.ty, p_class):
+            if p_class is not None and not isinstance(p_ty, p_class):
                 return f"{r}: premises[{i}] type must be {p_class.__name__}"
     return None
 
 
-def _relation_error(node: Derivation, domain: LevelDomain, fuel: int) -> str | None:
-    """Which relation between the parts of ``node`` fails, or None; the
-    node has the shape of its rule. Most relations are equalities, parts
-    of the premises on the left and what they must equal on the right;
-    ``==`` is alpha-equivalence on de Bruijn syntax."""
-    r, ctx, t, ty, ps = node.rule, node.ctx, node.term, node.ty, node.premises
+def _relation_error(
+    r: str,
+    ctx: Context,
+    t: Term,
+    ty: Term,
+    ps: tuple[Derivation, ...],
+    domain: LevelDomain,
+    fuel: int,
+) -> str | None:
+    """Which relation between the parts of a node, given by its fields,
+    fails, or None; the node has the shape of its rule. Most relations
+    are equalities, parts of the premises on the left and what they must
+    equal on the right; ``==`` is alpha-equivalence on de Bruijn syntax.
+    Each premise is unpacked once, to its subject and type."""
     if r == "Nil":
         if ctx != ():
             return "Nil: context must be empty"
     elif r == "Cons":
-        if ctx == () or ps[1].term != ctx[-1]:
+        _, (_, _, entry, _, _) = ps
+        if ctx == () or entry != ctx[-1]:
             return "Cons: entry must be typed in the prefix"
     elif r == "Var":
         try:
@@ -303,55 +327,57 @@ def _relation_error(node: Derivation, domain: LevelDomain, fuel: int) -> str | N
         if not domain.lt(i, j):
             return "Lvl: i < j fails"
     elif r == "Pi":
-        p_dom, p_cod = ps
-        if (p_dom.term, p_dom.ty.level, p_cod.term, p_cod.ty.level) != (
+        (_, _, dom, dom_ty, _), (_, _, cod, cod_ty, _) = ps
+        if (dom, dom_ty.level, cod, cod_ty.level) != (
             t.dom, ty.level, t.cod, subst.shift(ty.level, 1, 0)
         ):
             return "Pi: domain and codomain must share the universe"
     elif r == "Lam":
         if t.ann != ty.dom:
             return "Lam: annotation differs from the domain"
-        p_dom, p_pi, p_body = ps
-        if (p_dom.term, p_pi.term, p_dom.ty.level, p_body.term, p_body.ty) != (
-            t.ann, ty, p_pi.ty.level, t.body, ty.cod
+        (_, _, dom, dom_ty, _), (_, _, pi, pi_ty, _), (_, _, body, body_ty, _) = ps
+        if (dom, pi, dom_ty.level, body, body_ty) != (
+            t.ann, ty, pi_ty.level, t.body, ty.cod
         ):
             return "Lam: premises disagree with the conclusion"
     elif r == "App":
-        p_fn, p_arg = ps
-        if (p_fn.term, p_arg.term, p_arg.ty, ty) != (
-            t.fn, t.arg, p_fn.ty.dom, subst.subst1(p_fn.ty.cod, t.arg)
+        (_, _, fn, fn_ty, _), (_, _, arg, arg_ty, _) = ps
+        if (fn, arg, arg_ty, ty) != (
+            t.fn, t.arg, fn_ty.dom, subst.subst1(fn_ty.cod, t.arg)
         ):
             return "App: instantiated codomain mismatch"
     elif r == "Mty":
-        if ps[0].term != ty:
+        ((_, _, univ, _, _),) = ps
+        if univ != ty:
             return "Mty: premise must type the target universe"
     elif r == "Abs":
-        p_ty, p_prf = ps
-        if (ty, p_ty.term, p_prf.term) != (t.ann, t.ann, t.scrut):
+        (_, _, ann, _, _), (_, _, prf, _, _) = ps
+        if (ty, ann, prf) != (t.ann, t.ann, t.scrut):
             return "Abs: annotation or scrutinee premise mismatch"
     elif r == "Conv":
-        p_subj, p_target = ps
-        if (p_subj.term, p_target.term) != (t, ty):
+        (_, _, subj, subj_ty, _), (_, _, target, _, _) = ps
+        if (subj, target) != (t, ty):
             return "Conv: premises disagree with the conclusion"
-        verdict = convertible(p_subj.ty, ty, fuel)
+        verdict = convertible(subj_ty, ty, fuel)
         if verdict is Convertibility.NO:
             return "Conv: types are not convertible"
         if verdict is Convertibility.UNDECIDED:
             return "Conv: conversion undecided within fuel"
     elif r == "Univ":
-        if (ps[0].term, ps[0].ty.bound) != (t.level, ty.level):
+        ((_, _, level, level_ty, _),) = ps
+        if (level, level_ty.bound) != (t.level, ty.level):
             return "Univ: level premise must bound the index"
     elif r == "LevelLt":
-        p_univ, p_bound = ps
-        if (p_univ.term, p_bound.term) != (ty, t.bound):
+        (_, _, univ, _, _), (_, _, bound, _, _) = ps
+        if (univ, bound) != (ty, t.bound):
             return "LevelLt: premises must type the universe and the bound"
     elif r == "Trans":
-        p_lo, p_hi = ps
-        if (p_lo.term, p_hi.term, p_hi.ty.bound) != (t, p_lo.ty.bound, ty.bound):
+        (_, _, lo, lo_ty, _), (_, _, hi, hi_ty, _) = ps
+        if (lo, hi, hi_ty.bound) != (t, lo_ty.bound, ty.bound):
             return "Trans: middle bound must match both premises"
     elif r == "Cumul":
-        p_subj, p_lt = ps
-        if (p_subj.term, p_lt.term, p_lt.ty.bound) != (t, p_subj.ty.level, ty.level):
+        (_, _, subj, subj_ty, _), (_, _, lt, lt_ty, _) = ps
+        if (subj, lt, lt_ty.bound) != (t, subj_ty.level, ty.level):
             return "Cumul: level premise must lift to the target universe"
     return None
 
@@ -367,9 +393,14 @@ def check_derivation(
     errors: list[str] = []
 
     def go(node: Derivation, path: str) -> None:
-        for i, p in enumerate(node.premises):
+        # Unpacked once here, a node's fields reach both checks as
+        # locals, which read faster than field getters.
+        r, ctx, t, ty, ps = node
+        for i, p in enumerate(ps):
             go(p, f"{path}.premises[{i}]" if path else f"premises[{i}]")
-        msg = _shape_error(node) or _relation_error(node, domain, fuel)
+        msg = _shape_error(r, ctx, t, ty, ps) or _relation_error(
+            r, ctx, t, ty, ps, domain, fuel
+        )
         if msg is not None:
             errors.append(f"{path}: {msg}" if path else msg)
 
@@ -474,9 +505,10 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
     try:
         terms: list[Term] = []
         depths: list[int] = []
-        # Hashing a term recurses in C, past Python's recursion limit, and
-        # can overflow the stack; no recursive pass that writes documents
-        # reaches that limit, so a deeper term is refused, not built.
+        # Hashing a term or a derivation node recurses in C, past Python's
+        # recursion limit, and can overflow the stack; no recursive pass
+        # that writes documents reaches that limit, so a deeper term or
+        # node is refused, not built.
         limit = sys.getrecursionlimit()
         for entry in doc["terms"]:
             term, depth = _term_from_entry(entry, terms, depths)
@@ -486,6 +518,7 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
             depths.append(depth)
         ctxs = [tuple(_ref(terms, i) for i in c) for c in doc["ctxs"]]
         nodes: list[Derivation] = []
+        node_depths: list[int] = []
         for entry in doc["nodes"]:
             if entry["rule"] not in RULES:
                 raise ValueError(f"unknown rule: {entry['rule']!r}")
@@ -494,8 +527,13 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
                 None if entry[k] is None else _ref(terms, entry[k])
                 for k in ("term", "ty")
             )
-            premises = tuple(_ref(nodes, p) for p in entry["premises"])
+            refs = entry["premises"]
+            premises = tuple(_ref(nodes, p) for p in refs)
+            depth = 1 + max((node_depths[p] for p in refs), default=0)
+            if depth > limit:
+                raise ValueError(f"derivation node nested deeper than {limit}")
             nodes.append(Derivation(entry["rule"], ctx, term, ty, premises))
+            node_depths.append(depth)
         return nodes[-1], domain_named(doc["domain"])
     except (KeyError, IndexError, TypeError) as e:
         raise ValueError(f"malformed derivation document: {e!r}") from None
@@ -511,11 +549,17 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    verdict: Verdict
-    message: str = ""
-    derivation: Derivation | None = None
+class CheckResult(Node):
+    __slots__ = ()
+    __match_args__ = ("verdict", "message", "derivation")
+
+    def __new__(
+        cls,
+        verdict: Verdict,
+        message: str = "",
+        derivation: Derivation | None = None,
+    ) -> CheckResult:
+        return tuple.__new__(cls, (verdict, message, derivation))
 
     def __bool__(self) -> bool:
         return self.verdict is Verdict.ACCEPTED

@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 check or property failure, 2 usage or parse
-error, 3 fuel (or the recursion limit, on deeply nested input) exhausted
-before an answer.
+Exit codes: 0 success, 1 check or property failure (or standard output
+closed before everything was written), 2 usage or parse error, 3 fuel
+(or the recursion limit, on deeply nested input) exhausted before an
+answer.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .checker import Verdict, check, derivation_to_doc
@@ -220,7 +222,13 @@ _COMMANDS = {
 def run_cli(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output stopped early (``| head``); no one
+        # is left to tell, and Python's own exit status for it is 1.
+        return EXIT_CHECK_FAILED
     except (SurfaceError, LevelSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -236,4 +244,13 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_cli(argv)
+    code = run_cli(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Output still buffered for a closed pipe would fail again in the
+        # flush at exit and print a traceback; send it to devnull instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code

@@ -42,6 +42,7 @@ from .checker import (
     check,
 )
 from .levels import LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
+from .node import Node
 from .reduction import (
     DEFAULT_FUEL,
     EvalOutcome,
@@ -105,13 +106,14 @@ class GenError(Exception):
     that is a generator bug and should never be masked."""
 
 
-@dataclass(frozen=True)
-class GenCase:
-    index: int
-    ctx: Context
-    term: Term
-    ty: Term
-    derivation: Derivation
+class GenCase(Node):
+    __slots__ = ()
+    __match_args__ = ("index", "ctx", "term", "ty", "derivation")
+
+    def __new__(
+        cls, index: int, ctx: Context, term: Term, ty: Term, derivation: Derivation
+    ) -> GenCase:
+        return tuple.__new__(cls, (index, ctx, term, ty, derivation))
 
 
 def _rng_for(cfg: GenConfig, index: int) -> random.Random:

@@ -1,10 +1,15 @@
-"""Immutable syntax nodes stored as tuples of their fields.
+"""Immutable records stored as tuples of their fields.
 
-Terms and level values are built, hashed and compared in very large
+Terms, level values, derivation nodes, check results, substitutions,
+generated cases and tokens are built, hashed and compared in very large
 numbers, so they subclass ``tuple``: building one, hashing it and
 keeping it run in C. A node class declares ``__slots__ = ()``, lists
 its fields in ``__match_args__`` and defines ``__new__`` with one
-parameter per field; each field becomes a read-only property.
+parameter per field (defaults included); each field becomes a
+read-only tuple getter, the C descriptor ``collections.namedtuple``
+gives its own fields. A getter read is still slower than a dataclass's
+instance-dict read, so hot loops unpack a node's fields at once
+(``rule, ctx, term, ty, premises = node``).
 
 The contract is that of a frozen dataclass:
 
@@ -12,7 +17,10 @@ The contract is that of a frozen dataclass:
 - the hash is the hash of the tuple of fields;
 - ``repr`` prints ``Name(field=value, ...)``;
 - fields cannot be assigned, and nodes cannot be ordered, concatenated
-  or repeated; every node is truthy, including one without fields.
+  or repeated; every node is truthy, including one without fields,
+  unless its class defines ``__bool__`` (``CheckResult`` is true only
+  when accepted);
+- ``pickle`` and ``copy.deepcopy`` rebuild a node through ``__new__``.
 
 Hashing recurses in C, outside Python's recursion limit; equality and
 ``repr`` recurse through Python frames and stay under it.
@@ -20,7 +28,7 @@ Hashing recurses in C, outside Python's recursion limit; equality and
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import namedtuple
 
 __all__ = ["Node"]
 
@@ -31,8 +39,12 @@ class Node(tuple):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        for i, name in enumerate(cls.__match_args__):
-            setattr(cls, name, property(itemgetter(i), doc=f"Field {i}."))
+        # The field descriptors of a namedtuple read a tuple slot in C and
+        # refuse assignment; they apply to any tuple, so each field
+        # borrows one.
+        getters = vars(namedtuple(cls.__name__, cls.__match_args__))
+        for name in cls.__match_args__:
+            setattr(cls, name, getters[name])
         shown = ", ".join(f"{name}=%r" for name in cls.__match_args__)
         # ``%`` takes a tuple, so a node formats its own fields.
         cls._repr_format = f"{cls.__qualname__}({shown})"

@@ -13,8 +13,7 @@ shared, not copied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .node import Node
 from .terms import Context, Term, Var, binders
 
 __all__ = [
@@ -46,17 +45,20 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     return term
 
 
-@dataclass(frozen=True)
-class Subst:
+class Subst(Node):
     """Images for indices 0..k-1, then ``k + j -> Var(shift + j)``."""
 
-    prefix: tuple[Term, ...]
-    shift: int
+    __slots__ = ()
+    __match_args__ = ("prefix", "shift")
+
+    def __new__(cls, prefix: tuple[Term, ...], shift: int) -> Subst:
+        return tuple.__new__(cls, (prefix, shift))
 
     def image(self, ix: int) -> Term:
-        if ix < len(self.prefix):
-            return self.prefix[ix]
-        return Var(ix - len(self.prefix) + self.shift)
+        prefix, by = self
+        if ix < len(prefix):
+            return prefix[ix]
+        return Var(ix - len(prefix) + by)
 
 
 def lift(s: Subst) -> Subst:

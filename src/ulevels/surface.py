@@ -29,6 +29,7 @@ from .levels import (
     NAT_OMEGA,
     domain_named,
 )
+from .node import Node
 from .reduction import DEFAULT_FUEL
 from .terms import (
     Absurd,
@@ -96,11 +97,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
+class Token(Node):
+    __slots__ = ()
+    __match_args__ = ("kind", "text", "line")
+
+    def __new__(cls, kind: str, text: str, line: int) -> Token:
+        return tuple.__new__(cls, (kind, text, line))
 
 
 def lex(source: str) -> list[Token]:

@@ -723,6 +723,12 @@ CORRUPTIONS = {
         {"k": "Univ", "level": i}
         for i in range(len(doc["terms"]) - 1, sys.getrecursionlimit() + 9)
     ),
+    "node-nested-too-deep": lambda doc: doc["nodes"].extend(
+        {"rule": "Nil", "ctx": 0, "term": None, "ty": None, "premises": [i]}
+        for i in range(
+            len(doc["nodes"]) - 1, len(doc["nodes"]) + sys.getrecursionlimit()
+        )
+    ),
 }
 
 

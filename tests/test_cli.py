@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -365,6 +370,43 @@ def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 2
+
+
+class _ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone (``ulevels ... | head``)."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(CORPUS / "identity.ttbfl")],
+        ["fuzz", "--suite", "coverage", "--cases", "5"],
+    ],
+    ids=["check", "fuzz"],
+)
+def test_closed_stdout_exits_1_silently(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = run_cli(argv)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_main_exits_1_without_traceback_when_the_pipe_closes():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ulevels", "check", str(CORPUS / "identity.ttbfl")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def random_expr(rng: random.Random, depth: int, bound: tuple[str, ...] = ()) -> str:

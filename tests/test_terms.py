@@ -13,6 +13,8 @@ from hypothesis import given
 
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
+from ulevels.checker import CheckResult, Derivation, Verdict
+from ulevels.harness import GenCase
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
     complete_development,
@@ -21,7 +23,7 @@ from ulevels.reduction import (
     par_step_check,
 )
 from ulevels.subst import Subst, apply, shift, strengthen, subst1
-from ulevels.surface import parse_expr
+from ulevels.surface import Token, parse_expr
 from ulevels.terms import (
     BINDS,
     App,
@@ -84,7 +86,9 @@ def test_term_size_frozen():
 
 # ---------------------------------------------------------------------------
 # The node contract: equality is same class and equal fields, the hash is
-# the hash of the field tuple, and nodes are immutable and unordered.
+# the hash of the field tuple, and nodes are immutable and unordered. The
+# records built in bulk next to terms (derivation nodes, check results,
+# substitutions, generated cases, tokens) keep the same contract.
 
 ONE_OF_EACH = [
     Var(2),
@@ -98,6 +102,17 @@ ONE_OF_EACH = [
     LevelLt(Var(1)),
 ]
 
+NIL = Derivation("Nil", (), None, None)
+LVL = Derivation("Lvl", (), Lvl(Finite(0)), LevelLt(Lvl(Finite(1))), (NIL,))
+RECORDS = [
+    LVL,
+    CheckResult(Verdict.ACCEPTED, derivation=NIL),
+    Subst((Var(3),), 1),
+    GenCase(4, (Mty(),), Var(0), Mty(), NIL),
+    Token("ident", "x", 3),
+]
+NODES = ONE_OF_EACH + RECORDS
+
 
 def _name(node) -> str:
     return type(node).__name__
@@ -107,9 +122,9 @@ def _fields(node) -> tuple:
     return tuple(getattr(node, name) for name in node.__match_args__)
 
 
-@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+@pytest.mark.parametrize("t", NODES, ids=_name)
 def test_hash_is_the_hash_of_the_field_tuple(t):
-    assert hash(t) == hash(_fields(t))
+    assert hash(t) == hash(_fields(t)) == hash(tuple(t))
     assert t == type(t)(*_fields(t))
 
 
@@ -128,6 +143,25 @@ def test_hash_is_the_hash_of_the_field_tuple(t):
             "Absurd(ann=App(fn=Var(ix=1), arg=Mty()), "
             "scrut=Lam(ann=Mty(), body=Var(ix=0)))",
         ),
+        (
+            LVL,
+            "Derivation(rule='Lvl', ctx=(), term=Lvl(value=Finite(n=0)), "
+            "ty=LevelLt(bound=Lvl(value=Finite(n=1))), premises=(Derivation("
+            "rule='Nil', ctx=(), term=None, ty=None, premises=()),))",
+        ),
+        (
+            CheckResult(Verdict.REJECTED, "bad"),
+            "CheckResult(verdict=<Verdict.REJECTED: 'rejected'>, message='bad', "
+            "derivation=None)",
+        ),
+        (Subst((Var(3),), 1), "Subst(prefix=(Var(ix=3),), shift=1)"),
+        (
+            GenCase(4, (Mty(),), Var(0), Mty(), NIL),
+            "GenCase(index=4, ctx=(Mty(),), term=Var(ix=0), ty=Mty(), "
+            "derivation=Derivation(rule='Nil', ctx=(), term=None, ty=None, "
+            "premises=()))",
+        ),
+        (Token("ident", "x", 3), "Token(kind='ident', text='x', line=3)"),
     ],
 )
 def test_repr_is_pinned(t, text):
@@ -136,7 +170,12 @@ def test_repr_is_pinned(t, text):
 
 SAME_ARITY = [
     pair
-    for group in ((Var, Lvl, Univ, LevelLt), (Pi, Lam, App, Absurd))
+    for group in (
+        (Var, Lvl, Univ, LevelLt),
+        (Pi, Lam, App, Absurd),
+        (Derivation, GenCase),
+        (CheckResult, Token),
+    )
     for pair in itertools.combinations(group, 2)
 ]
 
@@ -156,7 +195,7 @@ def test_nodes_of_different_classes_are_unequal(a, b):
     assert not fields == x and fields != x
 
 
-@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+@pytest.mark.parametrize("t", NODES, ids=_name)
 def test_nodes_are_immutable_and_unordered(t):
     for name in t.__match_args__:
         with pytest.raises(AttributeError):
@@ -174,11 +213,30 @@ def test_empty_type_is_truthy():
     assert bool(Mty())
 
 
-@pytest.mark.parametrize("t", ONE_OF_EACH, ids=_name)
+def test_check_result_is_true_only_when_accepted():
+    # The checker's ``if not res:`` reads the verdict through this.
+    assert bool(CheckResult(Verdict.ACCEPTED, derivation=NIL))
+    assert not CheckResult(Verdict.REJECTED, "bad")
+    assert not CheckResult(Verdict.UNDECIDED, "out of fuel")
+
+
+@pytest.mark.parametrize("t", NODES, ids=_name)
 def test_copies_and_pickles_are_equal(t):
     for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert type(clone) is type(t)
         assert clone == t and hash(clone) == hash(t)
+
+
+def test_records_take_keywords_and_defaults():
+    assert Derivation(rule="Nil", ctx=(), term=None, ty=None) == NIL
+    assert NIL.premises == ()
+    res = CheckResult(Verdict.REJECTED)
+    assert (res.message, res.derivation) == ("", None)
+    assert CheckResult(verdict=Verdict.ACCEPTED, derivation=NIL).derivation is NIL
+    assert Subst(prefix=(), shift=2) == Subst((), 2)
+    case = GenCase(index=4, ctx=(), term=Var(0), ty=Mty(), derivation=NIL)
+    assert case == GenCase(4, (), Var(0), Mty(), NIL)
+    assert Token(kind="eof", text="", line=1) == Token("eof", "", 1)
 
 
 def test_positional_and_keyword_class_patterns_match():

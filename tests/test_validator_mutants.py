@@ -7,7 +7,6 @@ node, the smallest subderivation whose rule can notice the change.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 from collections.abc import Iterator
@@ -47,11 +46,15 @@ def _lowered(d: Derivation, domain: LevelDomain) -> Term | None:
     return None
 
 
+def edit(d: Derivation, **changes) -> Derivation:
+    """``d`` rebuilt with the named fields changed."""
+    return Derivation(**{**dict(zip(d.__match_args__, d)), **changes})
+
+
 def mutations(
     d: Derivation, rng: random.Random, domain: LevelDomain, fuel: int
 ) -> Iterator[tuple[str, Derivation]]:
     """One mutant of ``d`` per mutation kind that applies to it."""
-    edit = dataclasses.replace
     ps = d.premises
     if d.ty is not None:
         target = _retarget(d.ty, domain, fuel)
@@ -106,7 +109,7 @@ def mutants(
     for parent, i in rng.sample(edges, min(nodes, len(edges))):
         ps = parent.premises
         for kind, m in mutations(ps[i], rng, domain, fuel):
-            yield kind, dataclasses.replace(parent, premises=ps[:i] + (m,) + ps[i + 1:])
+            yield kind, edit(parent, premises=ps[:i] + (m,) + ps[i + 1:])
 
 
 # Mutants per kind at CFG; the gate is a floor near those counts, so a
