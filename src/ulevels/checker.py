@@ -392,20 +392,30 @@ def check_derivation(
     parts. An error names the node by its ``premises[i]`` path."""
     errors: list[str] = []
 
-    def go(node: Derivation, path: str) -> None:
+    # ``up`` is None at the root, else (the parent's ``up``, the node's
+    # premise index); ``_path`` spells it out only for a node in error.
+    def go(node: Derivation, up: tuple | None) -> None:
         # Unpacked once here, a node's fields reach both checks as
         # locals, which read faster than field getters.
         r, ctx, t, ty, ps = node
         for i, p in enumerate(ps):
-            go(p, f"{path}.premises[{i}]" if path else f"premises[{i}]")
+            go(p, (up, i))
         msg = _shape_error(r, ctx, t, ty, ps) or _relation_error(
             r, ctx, t, ty, ps, domain, fuel
         )
         if msg is not None:
-            errors.append(f"{path}: {msg}" if path else msg)
+            errors.append(f"{_path(up)}: {msg}" if up else msg)
 
-    go(d, "")
+    go(d, None)
     return DerivationReport(not errors, tuple(errors))
+
+
+def _path(up: tuple | None) -> str:
+    steps = []
+    while up is not None:
+        up, i = up
+        steps.append(f"premises[{i}]")
+    return ".".join(reversed(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -1005,24 +1015,16 @@ class TypeChecker:
                         f"has type {pretty(fn_ty)}"
                     )
                 d_fn2 = self._conv_to(d_fn, head)
-                res = self.check(ctx, arg, head.dom)
-                if res.verdict is Verdict.UNDECIDED:
-                    raise FuelError(res.message)
-                if not res:
-                    raise TypingError(f"argument mismatch: {res.message}")
+                d_arg = self._premise(ctx, arg, head.dom, "argument mismatch")
                 ty = subst.subst1(head.cod, arg)
-                d = Derivation("App", ctx, t, ty, (d_fn2, res.derivation))
+                d = Derivation("App", ctx, t, ty, (d_fn2, d_arg))
             case Absurd(ann, scrut):
                 _, d_ann = self.infer_universe(ctx, ann)
-                res = self.check(ctx, scrut, Mty())
-                if res.verdict is Verdict.UNDECIDED:
-                    raise FuelError(res.message)
-                if not res:
-                    raise TypingError(
-                        f"absurdity scrutinee is not a refutation: {res.message}"
-                    )
+                d_scrut = self._premise(
+                    ctx, scrut, Mty(), "absurdity scrutinee is not a refutation"
+                )
                 ty = ann
-                d = Derivation("Abs", ctx, t, ty, (d_ann, res.derivation))
+                d = Derivation("Abs", ctx, t, ty, (d_ann, d_scrut))
             case Univ(level):
                 bound, d_level = self.infer_level(ctx, level)
                 ty = Univ(bound)
@@ -1044,17 +1046,7 @@ class TypeChecker:
         """Accepted with a derivation, rejected with a diagnostic, or
         undecided when the fuel or the interpreter's recursion limit
         (input nested too deeply) gave out first."""
-        try:
-            d = self._check(ctx, t, expected)
-        except FuelError as e:
-            return CheckResult(Verdict.UNDECIDED, str(e))
-        except TypingError as e:
-            return CheckResult(Verdict.REJECTED, str(e))
-        except RecursionError:
-            return CheckResult(
-                Verdict.UNDECIDED, "resource limit: term nested too deeply to check"
-            )
-        return CheckResult(Verdict.ACCEPTED, derivation=d)
+        return _result(self._check, ctx, t, expected)
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         head = self._whnf(expected)
@@ -1066,7 +1058,7 @@ class TypeChecker:
                     )
                 _, d_ann = self.infer_universe(ctx, ann)
                 ctx2 = subst.ctx_extend(ctx, ann)
-                d_body = self._must(self.check(ctx2, body, cod))
+                d_body = self._check(ctx2, body, cod)
                 own_ty = Pi(ann, cod)
                 k_pi, d_pi = self.infer_universe(ctx, own_ty)
                 d_ann2 = self._cumul_to(d_ann, k_pi)
@@ -1075,10 +1067,10 @@ class TypeChecker:
                 )
                 return self._conv_to(d, expected)
             case (Pi(dom, cod), Univ(level)):
-                d_dom = self._must(self.check(ctx, dom, Univ(level)))
+                d_dom = self._check(ctx, dom, Univ(level))
                 ctx2 = subst.ctx_extend(ctx, dom)
                 lifted = Univ(subst.shift(level, 1, 0))
-                d_cod = self._must(self.check(ctx2, cod, lifted))
+                d_cod = self._check(ctx2, cod, lifted)
                 d = Derivation("Pi", ctx, t, Univ(level), (d_dom, d_cod))
                 return self._conv_to(d, expected)
             case (Mty(), Univ(level)):
@@ -1093,7 +1085,7 @@ class TypeChecker:
                 )
                 return self._conv_to(d, expected)
             case (Univ(k), Univ(level)):
-                d_lt = self._must(self.check(ctx, k, LevelLt(level)))
+                d_lt = self._check(ctx, k, LevelLt(level))
                 d = Derivation("Univ", ctx, t, Univ(level), (d_lt,))
                 return self._conv_to(d, expected)
             case (Lvl(v), LevelLt(bound)):
@@ -1108,13 +1100,14 @@ class TypeChecker:
             case _:
                 return self._subsume(ctx, t, expected)
 
-    def _must(self, res: CheckResult) -> Derivation:
-        if res.verdict is Verdict.UNDECIDED:
-            raise FuelError(res.message)
-        if not res:
-            raise TypingError(res.message)
-        assert res.derivation is not None
-        return res.derivation
+    def _premise(self, ctx: Context, t: Term, expected: Term, what: str) -> Derivation:
+        """``_check`` of a premise whose rejection names the premise."""
+        try:
+            return self._check(ctx, t, expected)
+        except FuelError:
+            raise
+        except TypingError as e:
+            raise TypingError(f"{what}: {e}") from None
 
     def _subsume(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         actual, d = self.infer(ctx, t)
@@ -1140,13 +1133,23 @@ class TypeChecker:
                 )
 
     def check_context(self, ctx: Context) -> CheckResult:
-        try:
-            d = self.ctx_derivation(ctx)
-        except FuelError as e:
-            return CheckResult(Verdict.UNDECIDED, str(e))
-        except TypingError as e:
-            return CheckResult(Verdict.REJECTED, str(e))
-        return CheckResult(Verdict.ACCEPTED, derivation=d)
+        """The verdict on ``ctx`` as ``check`` gives one."""
+        return _result(self.ctx_derivation, ctx)
+
+
+def _result(derive, *args) -> CheckResult:
+    """The verdict on ``derive(*args)``, as ``TypeChecker.check`` states."""
+    try:
+        d = derive(*args)
+    except FuelError as e:
+        return CheckResult(Verdict.UNDECIDED, str(e))
+    except TypingError as e:
+        return CheckResult(Verdict.REJECTED, str(e))
+    except RecursionError:
+        return CheckResult(
+            Verdict.UNDECIDED, "resource limit: term nested too deeply to check"
+        )
+    return CheckResult(Verdict.ACCEPTED, derivation=d)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,13 +1204,13 @@ def level_lt_check(
     """Whether ``lo : Level< hi`` is derivable in ``ctx``: ``lo`` types as
     a level and the level search the checker itself uses
     (``TypeChecker.level_below``) finds ``hi`` above it. False when
-    either fails or the fuel runs out first. Sound; incomplete by
-    design."""
+    either fails, or the fuel or the recursion limit runs out first.
+    Sound; incomplete by design."""
     tc = TypeChecker(domain, fuel)
     try:
         tc.infer_level(ctx, lo)
         return tc.level_below(ctx, lo, hi)
-    except TypingError:
+    except (TypingError, RecursionError):
         return False
 
 

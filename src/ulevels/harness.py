@@ -100,6 +100,10 @@ class GenConfig:
     domain_name: str = "nat-omega"
     fuel: int = DEFAULT_FUEL
 
+    @property
+    def domain(self) -> LevelDomain:
+        return domain_named(self.domain_name)
+
 
 class GenError(Exception):
     """The generator produced a candidate the checker would not accept;
@@ -326,20 +330,17 @@ def gen_case(
     index: int,
     domain: LevelDomain | None = None,
     closed: bool = False,
+    *,
+    tc: TypeChecker | None = None,
 ) -> GenCase:
     """Case ``index`` of ``cfg``. One checker types the whole case, so
-    the final check reuses every inference made while generating.
+    the final check reuses every inference made while generating: the
+    caller's ``tc``, kept to check follow-up judgments with the same
+    caches, or a fresh one over ``domain`` (default ``cfg.domain``).
     Raises FuelError when the fuel runs out before the judgment is
     settled, and GenError when the checker rejects it."""
-    tc = TypeChecker(domain or domain_named(cfg.domain_name), cfg.fuel)
-    return _gen_case(cfg, index, tc, closed)
-
-
-def _gen_case(
-    cfg: GenConfig, index: int, tc: TypeChecker, closed: bool = False
-) -> GenCase:
-    """``gen_case`` typed by ``tc``, which the caller keeps to check
-    the case's follow-up judgments with the same caches."""
+    if tc is None:
+        tc = TypeChecker(domain or cfg.domain, cfg.fuel)
     rng = _rng_for(cfg, index)
     ctx = () if closed else gen_context(rng, tc.domain)
     term = gen_term(rng, ctx, tc, cfg.max_size)
@@ -361,7 +362,7 @@ def _gen_case(
 
 
 def gen_well_typed(cfg: GenConfig, closed: bool = False) -> Iterator[GenCase]:
-    domain = domain_named(cfg.domain_name)
+    domain = cfg.domain
     for i in range(cfg.cases):
         yield gen_case(cfg, i, domain, closed)
 
@@ -496,6 +497,17 @@ class _Tally:
     def fail(self, message: str) -> None:
         self.failures.append(message)
 
+    def run(self, cases: int, case: Callable[[int], None]) -> None:
+        """Run ``case`` on each index. Running out of fuel or past a
+        reduct cap counts as undecided, any other exception fails."""
+        for i in range(cases):
+            try:
+                case(i)
+            except (FuelError, ParExplosion):
+                self.undecided += 1
+            except Exception as e:
+                self.fail(f"case {i}: internal error: {e!r}")
+
     def report(self, cases: int, coverage: tuple = ()) -> PropertyReport:
         return PropertyReport(
             suite=self.suite,
@@ -511,13 +523,18 @@ class _Tally:
 
 
 def rules_in(d: Derivation) -> frozenset[str]:
-    seen: set[str] = set()
+    """The rules ``d`` uses, visiting each distinct node once."""
+    rules: set[str] = set()
+    seen: set[int] = set()
     stack = [d]
     while stack:
         node = stack.pop()
-        seen.add(node.rule)
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        rules.add(node.rule)
         stack.extend(node.premises)
-    return frozenset(seen)
+    return frozenset(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -526,34 +543,32 @@ def rules_in(d: Derivation) -> frozenset[str]:
 
 def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("subject-reduction")
-    domain = domain_named(cfg.domain_name)
-    for i in range(cfg.cases):
+    domain = cfg.domain
+
+    def one(i: int) -> None:
+        tc = TypeChecker(domain, cfg.fuel)
+        case = gen_case(cfg, i, tc=tc)
+        tally.feed((case.ctx, case.term, case.ty))
         try:
-            tc = TypeChecker(domain, cfg.fuel)
-            case = _gen_case(cfg, i, tc)
-            tally.feed((case.ctx, case.term, case.ty))
-            try:
-                reducts = par_reducts(case.term, cap=4000)
-            except ParExplosion:
-                tally.fallbacks += 1
-                reducts = frozenset({complete_development(case.term)})
-            for u in reducts:
-                if u == case.term:
-                    continue
-                res = tc.check(case.ctx, u, case.ty)
-                if res.verdict is Verdict.REJECTED:
-                    shrunk = _shrink_sr(case.ctx, case.term, case.ty, domain, cfg.fuel)
-                    tally.fail(
-                        f"case {i}: type lost after reduction; "
-                        f"term {shrunk!r} : {case.ty!r}"
-                    )
-                    break
-                if res.verdict is Verdict.UNDECIDED:
-                    tally.undecided += 1
-        except FuelError:
-            tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+            reducts = par_reducts(case.term, cap=4000)
+        except ParExplosion:
+            tally.fallbacks += 1
+            reducts = frozenset({complete_development(case.term)})
+        for u in reducts:
+            if u == case.term:
+                continue
+            res = tc.check(case.ctx, u, case.ty)
+            if res.verdict is Verdict.REJECTED:
+                shrunk = _shrink_sr(case.ctx, case.term, case.ty, domain, cfg.fuel)
+                tally.fail(
+                    f"case {i}: type lost after reduction; "
+                    f"term {shrunk!r} : {case.ty!r}"
+                )
+                break
+            if res.verdict is Verdict.UNDECIDED:
+                tally.undecided += 1
+
+    tally.run(cfg.cases, one)
     return tally.report(cfg.cases)
 
 
@@ -576,79 +591,68 @@ def _shrink_sr(ctx: Context, term: Term, ty: Term, domain, fuel: int) -> Term:
 
 def run_diamond(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("diamond")
-    for i in range(cfg.cases):
-        rng = _rng_for(cfg, i)
-        t = gen_raw(rng, cfg.raw_size)
-        tally.feed(t)
-        try:
-            developed = complete_development(t)
-            reducts = par_reducts(t, cap=20000)
-            for u in reducts:
-                if not par_step_check(u, developed, cap=20000):
-                    def fails(s: Term) -> bool:
-                        d = complete_development(s)
-                        return any(
-                            not par_step_check(v, d, cap=5000)
-                            for v in par_reducts(s, cap=5000)
-                        )
 
-                    shrunk = shrink_term(t, fails)
-                    tally.fail(
-                        f"case {i}: reduct does not rejoin the complete "
-                        f"development of {shrunk!r}"
-                    )
-                    break
-        except ParExplosion:
-            tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+    def fails(s: Term) -> bool:
+        d = complete_development(s)
+        return any(
+            not par_step_check(v, d, cap=5000) for v in par_reducts(s, cap=5000)
+        )
+
+    def one(i: int) -> None:
+        t = gen_raw(_rng_for(cfg, i), cfg.raw_size)
+        tally.feed(t)
+        developed = complete_development(t)
+        for u in par_reducts(t, cap=20000):
+            if not par_step_check(u, developed, cap=20000):
+                tally.fail(
+                    f"case {i}: reduct does not rejoin the complete "
+                    f"development of {shrink_term(t, fails)!r}"
+                )
+                break
+
+    tally.run(cfg.cases, one)
     return tally.report(cfg.cases)
 
 
 def run_progress(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("progress")
-    domain = domain_named(cfg.domain_name)
-    for i in range(cfg.cases):
-        try:
-            case = gen_case(cfg, i, domain, closed=True)
-            tally.feed((case.term, case.ty))
-            result, outcome = cbn_eval(case.term, cfg.fuel)
-            if outcome is EvalOutcome.STUCK:
-                tally.fail(
-                    f"case {i}: closed well-typed term got stuck at {result!r} "
-                    f"(from {case.term!r})"
-                )
-            elif outcome is EvalOutcome.OUT_OF_FUEL:
-                tally.undecided += 1
-        except FuelError:
+    domain = cfg.domain
+
+    def one(i: int) -> None:
+        case = gen_case(cfg, i, domain, closed=True)
+        tally.feed((case.term, case.ty))
+        result, outcome = cbn_eval(case.term, cfg.fuel)
+        if outcome is EvalOutcome.STUCK:
+            tally.fail(
+                f"case {i}: closed well-typed term got stuck at {result!r} "
+                f"(from {case.term!r})"
+            )
+        elif outcome is EvalOutcome.OUT_OF_FUEL:
             tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+
+    tally.run(cfg.cases, one)
     return tally.report(cfg.cases)
 
 
 def run_canonicity(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("canonicity")
-    domain = domain_named(cfg.domain_name)
-    for i in range(cfg.cases):
-        try:
-            case = gen_case(cfg, i, domain, closed=True)
-            tally.feed((case.term, case.ty))
-            n_ty, ty_done = pars(case.ty, cfg.fuel)
-            value, outcome = cbn_eval(case.term, cfg.fuel)
-            if not ty_done or outcome is EvalOutcome.OUT_OF_FUEL:
-                tally.undecided += 1
-                continue
-            if outcome is EvalOutcome.STUCK:
-                tally.fail(f"case {i}: closed term stuck at {value!r}")
-                continue
+    domain = cfg.domain
+
+    def one(i: int) -> None:
+        case = gen_case(cfg, i, domain, closed=True)
+        tally.feed((case.term, case.ty))
+        n_ty, ty_done = pars(case.ty, cfg.fuel)
+        value, outcome = cbn_eval(case.term, cfg.fuel)
+        if not ty_done or outcome is EvalOutcome.OUT_OF_FUEL:
+            tally.undecided += 1
+        elif outcome is EvalOutcome.STUCK:
+            tally.fail(f"case {i}: closed term stuck at {value!r}")
+        else:
             message = _canonical_mismatch(value, n_ty, domain, cfg.fuel)
             if message:
                 tally.fail(f"case {i}: {message} (term {case.term!r} : {n_ty!r})")
-        except FuelError:
-            tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+
+    tally.run(cfg.cases, one)
     return tally.report(cfg.cases)
 
 
@@ -680,46 +684,42 @@ def _canonical_mismatch(value: Term, n_ty: Term, domain, fuel: int) -> str | Non
 
 def run_consistency(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("consistency")
-    domain = domain_named(cfg.domain_name)
-    for i in range(cfg.cases):
-        try:
-            tc = TypeChecker(domain, cfg.fuel)
-            if i % 2 == 0:
-                candidate = gen_raw(_rng_for(cfg, i), cfg.raw_size, free=0)
-            else:
-                candidate = _gen_case(cfg, i, tc, closed=True).term
-            tally.feed(candidate)
-            res = tc.check((), candidate, Mty())
-            if res.verdict is Verdict.ACCEPTED:
-                tally.fail(
-                    f"case {i}: closed proof of the empty type accepted: "
-                    f"{candidate!r}"
-                )
-            elif res.verdict is Verdict.UNDECIDED:
-                tally.undecided += 1
-        except FuelError:
+    domain = cfg.domain
+
+    def one(i: int) -> None:
+        tc = TypeChecker(domain, cfg.fuel)
+        if i % 2 == 0:
+            candidate = gen_raw(_rng_for(cfg, i), cfg.raw_size, free=0)
+        else:
+            candidate = gen_case(cfg, i, closed=True, tc=tc).term
+        tally.feed(candidate)
+        res = tc.check((), candidate, Mty())
+        if res.verdict is Verdict.ACCEPTED:
+            tally.fail(
+                f"case {i}: closed proof of the empty type accepted: "
+                f"{candidate!r}"
+            )
+        elif res.verdict is Verdict.UNDECIDED:
             tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+
+    tally.run(cfg.cases, one)
     return tally.report(cfg.cases)
 
 
 def run_coverage(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("coverage")
-    domain = domain_named(cfg.domain_name)
+    domain = cfg.domain
     counts: Counter[str] = Counter()
     produced = 0
-    for i in range(cfg.cases):
-        try:
-            case = gen_case(cfg, i, domain)
-            tally.feed((case.ctx, case.term, case.ty))
-            produced += 1
-            for rule in rules_in(case.derivation):
-                counts[rule] += 1
-        except FuelError:
-            tally.undecided += 1
-        except Exception as e:
-            tally.fail(f"case {i}: internal error: {e!r}")
+
+    def one(i: int) -> None:
+        nonlocal produced
+        case = gen_case(cfg, i, domain)
+        tally.feed((case.ctx, case.term, case.ty))
+        produced += 1
+        counts.update(rules_in(case.derivation))
+
+    tally.run(cfg.cases, one)
     coverage = tuple(
         (rule, counts[rule] / produced if produced else 0.0) for rule in RULES
     )

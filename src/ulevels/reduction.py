@@ -193,17 +193,12 @@ class EvalOutcome(Enum):
 
 def cbn_eval(term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, EvalOutcome]:
     """Drive call-by-name evaluation to a value, stuckness, or fuel
-    exhaustion."""
-    while True:
-        if is_value(term):
-            return term, EvalOutcome.VALUE
-        nxt = cbn_step(term)
-        if nxt is None:
-            return term, EvalOutcome.STUCK
-        if fuel <= 0:
-            return term, EvalOutcome.OUT_OF_FUEL
-        term = nxt
-        fuel -= 1
+    exhaustion: ``whnf``, then a weak-head normal form is a value or
+    stuck, since a value never steps."""
+    term, done = whnf(term, fuel)
+    if not done:
+        return term, EvalOutcome.OUT_OF_FUEL
+    return term, EvalOutcome.VALUE if is_value(term) else EvalOutcome.STUCK
 
 
 class Convertibility(Enum):

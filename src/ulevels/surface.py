@@ -391,8 +391,12 @@ class DefReport:
         return self.verdict is Verdict.ACCEPTED
 
     @property
-    def undecided(self) -> bool:
-        return self.verdict is Verdict.UNDECIDED
+    def status(self) -> str:
+        """``ok``, ``FAIL`` or ``undecided``: the word that opens the
+        definition's report line."""
+        if self.verdict is Verdict.UNDECIDED:
+            return "undecided"
+        return "ok" if self.passed else "FAIL"
 
 
 @dataclass(frozen=True)
@@ -403,11 +407,11 @@ class ModuleReport:
 
     @property
     def failed(self) -> int:
-        return sum(1 for e in self.entries if not e.passed and not e.undecided)
+        return sum(1 for e in self.entries if e.status == "FAIL")
 
     @property
     def undecided_count(self) -> int:
-        return sum(1 for e in self.entries if e.undecided)
+        return sum(1 for e in self.entries if e.status == "undecided")
 
     @property
     def ok(self) -> bool:
@@ -485,20 +489,13 @@ def format_report(report: ModuleReport) -> str:
     """Stable, diffable text: one line per definition plus a summary."""
     lines = []
     for e in report.entries:
-        if e.expect_fail:
-            if e.verdict is Verdict.REJECTED:
-                lines.append(f"ok {e.name} : fails as expected")
-            elif e.verdict is Verdict.ACCEPTED:
-                lines.append(f"FAIL {e.name} : unexpectedly accepted")
-            else:
-                lines.append(f"undecided {e.name} : {e.message}")
+        if e.status == "undecided":
+            detail = e.message
+        elif e.expect_fail:
+            detail = "fails as expected" if e.passed else "unexpectedly accepted"
         else:
-            if e.verdict is Verdict.ACCEPTED:
-                lines.append(f"ok {e.name} : {e.type_text}")
-            elif e.verdict is Verdict.REJECTED:
-                lines.append(f"FAIL {e.name} : {e.message}")
-            else:
-                lines.append(f"undecided {e.name} : {e.message}")
+            detail = e.type_text if e.passed else e.message
+        lines.append(f"{e.status} {e.name} : {detail}")
     total = len(report.entries)
     lines.append(
         f"checked {total} definitions: "

@@ -38,6 +38,7 @@ from ulevels.terms import (
     Lvl,
     Mty,
     Pi,
+    Term,
     Univ,
     Var,
 )
@@ -595,6 +596,16 @@ def test_check_derivation_reports_paths_into_premises():
     assert not report.ok
     assert any(e.startswith("premises[0]:") for e in report.errors)
 
+    good_leaf = Derivation("Lvl", (), Lvl(Finite(3)), LevelLt(Lvl(Finite(4))), (nil(),))
+    trans = Derivation(
+        "Trans", (), Lvl(Finite(3)), LevelLt(Lvl(Finite(3))), (good_leaf, bad_leaf)
+    )
+    root = Derivation("Univ", (), U(3), U(3), (trans,))
+    assert check_derivation(root).errors == (
+        "premises[0].premises[1]: Lvl: i < j fails",
+        "premises[0]: Trans: middle bound must match both premises",
+    )
+
 
 def test_conv_node_requires_convertibility():
     d_subj = infer_with_derivation((), Mty())[1]
@@ -746,3 +757,29 @@ def test_derivation_from_doc_rejects_tree_documents():
         "rule": "Nil", "ctx": [], "term": None, "ty": None, "premises": []}}
     with pytest.raises(ValueError, match="format marker"):
         derivation_from_doc(tree)
+
+
+# -- input nested past the recursion limit
+
+
+def _pi_tower(depth: int) -> Term:
+    t = U(0)
+    for _ in range(depth):
+        t = Pi(U(0), t)
+    return t
+
+
+def _nested_redexes(depth: int) -> Term:
+    t = Lvl(Finite(0))
+    for _ in range(depth):
+        t = App(Lam(LevelLt(Lvl(Finite(1))), Var(0)), t)
+    return t
+
+
+@pytest.mark.parametrize("build", [_pi_tower, _nested_redexes])
+def test_deep_input_is_undecided_or_false_not_an_exception(build):
+    t = build(3000)
+    deep = "resource limit: term nested too deeply to check"
+    assert check((), t, U(2)) == CheckResult(Verdict.UNDECIDED, deep)
+    assert TypeChecker().check_context((t,)) == CheckResult(Verdict.UNDECIDED, deep)
+    assert level_lt_check((), t, Lvl(Finite(5))) is False

@@ -84,7 +84,7 @@ def test_case_checker_agrees_with_fresh_checks_on_reducts():
     verdicts = Counter()
     for i in range(cfg.cases):
         tc = TypeChecker(domain, cfg.fuel)
-        case = harness._gen_case(cfg, i, tc)
+        case = gen_case(cfg, i, tc=tc)
         for u in par_reducts(case.term, cap=4000):
             if u == case.term:
                 continue
@@ -103,7 +103,7 @@ def test_case_checker_agrees_with_fresh_checks_on_candidates():
     verdicts = Counter()
     for i in range(1, cfg.cases, 2):
         tc = TypeChecker(domain, cfg.fuel)
-        candidate = harness._gen_case(cfg, i, tc, closed=True).term
+        candidate = gen_case(cfg, i, closed=True, tc=tc).term
         held = tc.check((), candidate, Mty())
         fresh = check((), candidate, Mty(), domain, cfg.fuel)
         assert _same_result(held, fresh), (i, candidate)
@@ -337,6 +337,28 @@ def test_rules_in_walks_premises():
     rules = rules_in(case.derivation)
     assert case.derivation.rule in rules
     assert "Nil" in rules
+
+
+def test_rules_in_reads_each_distinct_node_once():
+    # 30 levels, each a node whose two premises are the level below: 31
+    # distinct nodes, 2**31 - 1 nodes as a tree.
+    reads = 0
+
+    class Counted(Derivation):
+        __slots__ = ()
+
+    def premises(node: Derivation) -> tuple:
+        nonlocal reads
+        reads += 1
+        assert reads <= 1000, "rules_in walks the derivation as a tree"
+        return tuple.__getitem__(node, 4)
+
+    Counted.premises = property(premises)
+    d = Counted("Nil", (), None, None)
+    for _ in range(30):
+        d = Counted("Trans", (), None, None, (d, d))
+    assert rules_in(d) == {"Nil", "Trans"}
+    assert reads == 31
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ulevels import reduction, subst
 from ulevels.harness import gen_raw
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
+    DEFAULT_FUEL,
     Convertibility,
     EvalOutcome,
     ParExplosion,
@@ -34,8 +35,10 @@ from ulevels.terms import (
     Lvl,
     Mty,
     Pi,
+    Term,
     Univ,
     Var,
+    is_value,
 )
 
 IDENT = Lam(Mty(), Var(0))
@@ -229,6 +232,33 @@ def test_cbn_step_frozen():
     assert cbn_step(Var(0)) is None
     assert cbn_step(IDENT) is None
     assert cbn_step(App(Var(0), Mty())) is None
+
+
+def _cbn_eval_by_steps(term: Term, fuel: int) -> tuple[Term, EvalOutcome]:
+    """Call-by-name evaluation as a loop of single steps."""
+    while True:
+        if is_value(term):
+            return term, EvalOutcome.VALUE
+        nxt = cbn_step(term)
+        if nxt is None:
+            return term, EvalOutcome.STUCK
+        if fuel <= 0:
+            return term, EvalOutcome.OUT_OF_FUEL
+        term = nxt
+        fuel -= 1
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 3, DEFAULT_FUEL])
+def test_cbn_eval_agrees_with_single_steps(fuel):
+    rng = random.Random(f"cbn/{fuel}")
+    outcomes = set()
+    for _ in range(300):
+        t = gen_raw(rng, 12, free=0)
+        expected = _cbn_eval_by_steps(t, fuel)
+        assert cbn_eval(t, fuel) == expected, t
+        outcomes.add(expected[1])
+    assert {EvalOutcome.VALUE, EvalOutcome.STUCK} <= outcomes
+    assert (EvalOutcome.OUT_OF_FUEL in outcomes) == (fuel <= 1)
 
 
 def test_cbn_eval_outcomes():

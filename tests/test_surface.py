@@ -7,10 +7,12 @@ from hypothesis import given, settings
 
 from pathlib import Path
 
-from ulevels.checker import check
+from ulevels.checker import Verdict, check
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
 from ulevels.surface import (
+    DefReport,
     Module,
+    ModuleReport,
     SurfaceError,
     check_module,
     format_report,
@@ -333,3 +335,26 @@ def test_report_expected_failure_passes():
         "checked 1 definitions: 1 ok, 0 failed, 0 undecided\n"
     )
     assert report.exit_code() == 0
+
+
+def test_format_report_has_one_line_per_expectation_and_verdict():
+    entries = (
+        DefReport("acc", Verdict.ACCEPTED, False, "Level< 3"),
+        DefReport("rej", Verdict.REJECTED, False, "Level< 3", "type mismatch"),
+        DefReport("und", Verdict.UNDECIDED, False, "Level< 3", "out of fuel"),
+        DefReport("failAcc", Verdict.ACCEPTED, True, "U 0"),
+        DefReport("failRej", Verdict.REJECTED, True, "U 0", "level bound fails"),
+        DefReport("failUnd", Verdict.UNDECIDED, True, "U 0", "out of fuel"),
+    )
+    report = ModuleReport("nat-omega", 10_000, entries)
+    assert format_report(report) == (
+        "ok acc : Level< 3\n"
+        "FAIL rej : type mismatch\n"
+        "undecided und : out of fuel\n"
+        "FAIL failAcc : unexpectedly accepted\n"
+        "ok failRej : fails as expected\n"
+        "undecided failUnd : out of fuel\n"
+        "checked 6 definitions: 2 ok, 2 failed, 2 undecided\n"
+    )
+    assert [e.passed for e in entries] == [True, False, False, False, True, False]
+    assert report.exit_code() == 1

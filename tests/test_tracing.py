@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from ulevels import checker, cli, harness, levels, reduction, subst, surface, terms
+from ulevels.harness import GenConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -79,3 +80,27 @@ def test_tracer_patches_existing_names_and_restores_them():
         assert key in patched, key
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tracer_counts_every_generated_case(monkeypatch):
+    calls = 0
+    gen_case = harness.gen_case
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return gen_case(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_case", counting)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, PACKAGE)
+        for suite in ("subject-reduction", "consistency", "progress"):
+            harness.run_suite(suite, GenConfig(seed=1, cases=10))
+    finally:
+        tracer.restore()
+    # Subject reduction and progress generate every case, consistency
+    # every odd-numbered one.
+    assert calls == 25
+    assert tracer.counts["harness.gen_cases"] == calls
