@@ -626,6 +626,12 @@ class LevelOrder:
             node = nxt
 
 
+def _trans(d_lo: Derivation, d_hi: Derivation) -> Derivation:
+    """Transitivity: ``d_lo.term : Level< d_hi.ty.bound`` from ``d_lo``
+    (``lo : Level< mid``) and ``d_hi`` (``mid : Level< hi``)."""
+    return Derivation("Trans", d_lo.ctx, d_lo.term, d_hi.ty, (d_lo, d_hi))
+
+
 class TypeChecker:
     """Bidirectional checker emitting derivations.
 
@@ -721,11 +727,6 @@ class TypeChecker:
             (d, d_target),
         )
 
-    def _univ_typing(self, ctx: Context, level: Term) -> Derivation:
-        """Derivation of U level : U bound, for a well-typed level."""
-        _, d = self.infer(ctx, Univ(level))
-        return d
-
     # -- level machinery
 
     def infer_level(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
@@ -815,17 +816,11 @@ class TypeChecker:
 
     def _edge_derivation(self, ctx: Context, lo: Term, hi: Term) -> Derivation:
         """Derivation of lo : Level< hi for one hop the search took: the
-        declared bound of the variable ``lo``, or the literal ``lo`` below
-        the literal ``hi``, which the caller has compared."""
+        declared bound of the variable ``lo`` (its inferred, shared
+        ``Var`` node), or the literal ``lo`` below the literal ``hi``,
+        which the caller has compared."""
         if isinstance(lo, Var):
-            d = Derivation(
-                "Var",
-                ctx,
-                lo,
-                subst.ctx_lookup(ctx, lo.ix),
-                (self.ctx_derivation(ctx),),
-            )
-            return self._conv_to(d, LevelLt(hi))
+            return self._conv_to(self.infer(ctx, lo)[1], LevelLt(hi))
         return Derivation("Lvl", ctx, lo, LevelLt(hi), (self.ctx_derivation(ctx),))
 
     def _derive_level_below(self, ctx: Context, a: Term, b: Term) -> Derivation:
@@ -852,10 +847,9 @@ class TypeChecker:
         else:
             d = self._edge_derivation(ctx, hops[0], hops[1])
             for nxt in hops[2:]:
-                step = self._edge_derivation(ctx, d.ty.bound, nxt)
-                d = Derivation("Trans", ctx, hops[0], LevelLt(nxt), (d, step))
-        for lo, d_lo in reversed(list(zip(levels, climbs))):
-            d = Derivation("Trans", ctx, lo, LevelLt(b), (d_lo, d))
+                d = _trans(d, self._edge_derivation(ctx, d.ty.bound, nxt))
+        for d_lo in reversed(climbs):
+            d = _trans(d_lo, d)
         return d
 
     def _cumul_to(self, d: Derivation, target_level: Term) -> Derivation:
@@ -872,6 +866,27 @@ class TypeChecker:
             "Cumul", d.ctx, d.term, Univ(nt), (d_at_nk, d_lt)
         )
         return self._conv_to(lifted, Univ(target_level))
+
+    def _type_at(self, ctx: Context, t: Mty | LevelLt, level: Term) -> Derivation:
+        """Derivation of ``t : U level`` for ``Bot`` or ``Level< bound``,
+        which live in every universe: the premise types ``U level`` and,
+        for ``Level< bound``, ``bound`` as a level."""
+        d_univ = self.infer(ctx, Univ(level))[1]
+        if isinstance(t, Mty):
+            return Derivation("Mty", ctx, t, Univ(level), (d_univ,))
+        _, d_bound = self.infer_level(ctx, t.bound)
+        return Derivation("LevelLt", ctx, t, Univ(level), (d_univ, d_bound))
+
+    def _lam(self, t: Lam, d_ann: Derivation, d_body: Derivation) -> Derivation:
+        """Derivation of ``t`` at ``Pi(t.ann, d_body.ty)`` from those of its
+        annotation (``t.ann : U k``) and body: the annotation is lifted to
+        the universe the function type infers to."""
+        ctx = d_ann.ctx
+        ty = Pi(t.ann, d_body.ty)
+        k_pi, d_pi = self.infer_universe(ctx, ty)
+        return Derivation(
+            "Lam", ctx, t, ty, (self._cumul_to(d_ann, k_pi), d_pi, d_body)
+        )
 
     # -- universe joining (for Pi and Lam)
 
@@ -974,20 +989,11 @@ class TypeChecker:
                     raise TypingError(
                         f"level literal outside domain {self.domain.name}: {pretty(t)}"
                     )
-                up = Lvl(self.domain.next_above(v))
-                ty = LevelLt(up)
-                d = Derivation(
-                    "Lvl",
-                    ctx,
-                    t,
-                    ty,
-                    (self.ctx_derivation(ctx),),
-                )
-            case Mty():
-                zero = Lvl(self.domain.zero())
-                d_univ = self._univ_typing(ctx, zero)
-                ty = Univ(zero)
-                d = Derivation("Mty", ctx, t, ty, (d_univ,))
+                d = self._edge_derivation(ctx, t, Lvl(self.domain.next_above(v)))
+                ty = d.ty
+            case Mty() | LevelLt():
+                d = self._type_at(ctx, t, Lvl(self.domain.zero()))
+                ty = d.ty
             case Pi(dom, cod):
                 k_dom, d_dom = self.infer_universe(ctx, dom)
                 ctx2 = subst.ctx_extend(ctx, dom)
@@ -1000,12 +1006,9 @@ class TypeChecker:
                 d = Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
             case Lam(ann, body):
                 _, d_ann = self.infer_universe(ctx, ann)
-                ctx2 = subst.ctx_extend(ctx, ann)
-                body_ty, d_body = self.infer(ctx2, body)
-                ty = Pi(ann, body_ty)
-                k_pi, d_pi = self.infer_universe(ctx, ty)
-                d_ann2 = self._cumul_to(d_ann, k_pi)
-                d = Derivation("Lam", ctx, t, ty, (d_ann2, d_pi, d_body))
+                _, d_body = self.infer(subst.ctx_extend(ctx, ann), body)
+                d = self._lam(t, d_ann, d_body)
+                ty = d.ty
             case App(fn, arg):
                 fn_ty, d_fn = self.infer(ctx, fn)
                 head = self._whnf(fn_ty)
@@ -1029,12 +1032,6 @@ class TypeChecker:
                 bound, d_level = self.infer_level(ctx, level)
                 ty = Univ(bound)
                 d = Derivation("Univ", ctx, t, ty, (d_level,))
-            case LevelLt(bound):
-                _, d_bound = self.infer_level(ctx, bound)
-                zero = Lvl(self.domain.zero())
-                d_univ = self._univ_typing(ctx, zero)
-                ty = Univ(zero)
-                d = Derivation("LevelLt", ctx, t, ty, (d_univ, d_bound))
             case _:
                 raise TypeError(f"Unexpected term in infer: {t!r}")
         hit = self._infer_cache[key] = (ty, d)
@@ -1057,15 +1054,8 @@ class TypeChecker:
                         f"domain annotation mismatch: {pretty(ann)} vs {pretty(dom)}"
                     )
                 _, d_ann = self.infer_universe(ctx, ann)
-                ctx2 = subst.ctx_extend(ctx, ann)
-                d_body = self._check(ctx2, body, cod)
-                own_ty = Pi(ann, cod)
-                k_pi, d_pi = self.infer_universe(ctx, own_ty)
-                d_ann2 = self._cumul_to(d_ann, k_pi)
-                d = Derivation(
-                    "Lam", ctx, t, own_ty, (d_ann2, d_pi, d_body)
-                )
-                return self._conv_to(d, expected)
+                d_body = self._check(subst.ctx_extend(ctx, ann), body, cod)
+                return self._conv_to(self._lam(t, d_ann, d_body), expected)
             case (Pi(dom, cod), Univ(level)):
                 d_dom = self._check(ctx, dom, Univ(level))
                 ctx2 = subst.ctx_extend(ctx, dom)
@@ -1073,17 +1063,8 @@ class TypeChecker:
                 d_cod = self._check(ctx2, cod, lifted)
                 d = Derivation("Pi", ctx, t, Univ(level), (d_dom, d_cod))
                 return self._conv_to(d, expected)
-            case (Mty(), Univ(level)):
-                d_univ = self._univ_typing(ctx, level)
-                d = Derivation("Mty", ctx, t, Univ(level), (d_univ,))
-                return self._conv_to(d, expected)
-            case (LevelLt(bound), Univ(level)):
-                d_univ = self._univ_typing(ctx, level)
-                _, d_bound = self.infer_level(ctx, bound)
-                d = Derivation(
-                    "LevelLt", ctx, t, Univ(level), (d_univ, d_bound)
-                )
-                return self._conv_to(d, expected)
+            case (Mty() | LevelLt(), Univ(level)):
+                return self._conv_to(self._type_at(ctx, t, level), expected)
             case (Univ(k), Univ(level)):
                 d_lt = self._check(ctx, k, LevelLt(level))
                 d = Derivation("Univ", ctx, t, Univ(level), (d_lt,))
@@ -1121,12 +1102,10 @@ class TypeChecker:
                 lifted = self._cumul_to(d_at, target)
                 return self._conv_to(lifted, expected)
             case (LevelLt(lo), LevelLt(hi)):
+                # Parts of a normal form are normal.
                 d_at = self._conv_to(d, n_actual)
-                d_hi = self._derive_level_below(ctx, self._norm(lo), self._norm(hi))
-                d2 = Derivation(
-                    "Trans", ctx, t, LevelLt(self._norm(hi)), (d_at, d_hi)
-                )
-                return self._conv_to(d2, expected)
+                d_hi = self._derive_level_below(ctx, lo, hi)
+                return self._conv_to(_trans(d_at, d_hi), expected)
             case _:
                 raise TypingError(
                     f"type mismatch: expected {pretty(expected)}, got {pretty(actual)}"
@@ -1313,9 +1292,7 @@ def search_derivation(
                     lo = attempt(goal_t, LevelLt(mid), d - 1)
                     hi = lo and attempt(mid, LevelLt(n_ty.bound), d - 1)
                     if lo and hi:
-                        trans = Derivation(
-                            "Trans", ctx, goal_t, LevelLt(n_ty.bound), (lo, hi)
-                        )
+                        trans = _trans(lo, hi)
                         if check_derivation(trans, domain, fuel).ok:
                             memo[key] = (d, trans)
                             return trans

@@ -135,24 +135,21 @@ def complete_development(term: Term) -> Term:
 
 
 def is_normal(term: Term) -> bool:
-    """No beta redex anywhere. Developments can have fixpoints that are
-    not normal (a self-replicating redex), so this is the real test."""
-    kids = children(term)
-    if type(term) is App and type(kids[0]) is Lam:
-        return False
-    for kid in kids:
-        if not is_normal(kid):
-            return False
-    return True
+    """No beta redex anywhere: the complete development returns ``term``
+    itself exactly then. Identity is the real test; a self-replicating
+    redex develops to an equal but new term, which is not normal."""
+    return complete_development(term) is term
 
 
 def pars(term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, bool]:
-    """Iterate complete developments. Returns the last reduct and
-    whether it is a normal form; False means the fuel ran out."""
-    while not is_normal(term):
+    """Iterate complete developments until one returns its argument
+    itself (the test of ``is_normal``); each step to a new reduct costs
+    one unit of fuel. Returns the last reduct and whether it is a
+    normal form; False means the fuel ran out."""
+    while (nxt := complete_development(term)) is not term:
         if fuel <= 0:
             return term, False
-        term = complete_development(term)
+        term = nxt
         fuel -= 1
     return term, True
 

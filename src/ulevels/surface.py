@@ -9,6 +9,8 @@ A file is a sequence of pragmas and definitions:
     #fail
     def broken : TYPE := BODY   -- expected to be rejected
 
+``#domain`` and ``#fuel`` may each appear once.
+
 Terms:  ``Pi (x : A) . B``, ``fun (x : A) . b``, ``A -> B`` (sugar for a
 function type that ignores its argument), application by adjacency,
 ``U t``, ``Level< t``, ``Bot``, ``absurd [T] t``, level literals
@@ -251,8 +253,12 @@ class _Parser:
             if tok.kind == "pragma":
                 self.next()
                 if tok.text == "#domain":
+                    if domain_name is not None:
+                        raise SurfaceError("duplicate #domain pragma", tok.line)
                     domain_name = self._domain_name()
                 elif tok.text == "#fuel":
+                    if fuel is not None:
+                        raise SurfaceError("duplicate #fuel pragma", tok.line)
                     num = self.expect("level", "a fuel amount")
                     if not num.text.isdigit():
                         raise SurfaceError("fuel must be a number", num.line)

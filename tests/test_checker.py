@@ -163,6 +163,24 @@ def test_transitive_bound_through_context():
     accepted(ctx, Var(0), LevelLt(OMEGA))
 
 
+def test_level_hops_share_the_inferred_variable_node():
+    # A : U x lifts to U 5 by Cumul, whose level premise hops from x to
+    # its declared bound 3; that hop starts from the memoized Var node.
+    ctx = (LevelLt(Lvl(Finite(3))), Univ(Var(0)))
+    tc = TypeChecker()
+    res = tc.check(ctx, Var(0), U(5))
+    assert res.verdict is Verdict.ACCEPTED, res.message
+    assert check_derivation(res.derivation).ok
+    _, d_x = tc.infer(ctx, Var(1))
+    found, stack = [], [res.derivation]
+    while stack:
+        d = stack.pop()
+        if (d.rule, d.term) == ("Var", Var(1)):
+            found.append(d)
+        stack.extend(d.premises)
+    assert found and all(d is d_x for d in found)
+
+
 def test_level_lt_check_walks_context_bounds():
     ctx = (LevelLt(OMEGA), LevelLt(Var(0)))
     assert level_lt_check(ctx, Var(0), OMEGA)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -220,6 +221,7 @@ def test_derive_to_file(tmp_path):
 
 def test_derive_corpus_writes_each_shared_node_once(tmp_path):
     sizes = {}
+    digest = hashlib.sha256()
     for path in sorted(CORPUS.glob("*.ttbfl")):
         module = parse(path.read_text(encoding="utf-8"))
         domain, fuel = module_settings(module)
@@ -228,14 +230,22 @@ def test_derive_corpus_writes_each_shared_node_once(tmp_path):
                 continue
             out = tmp_path / f"{path.stem}.{d.name}.json"
             assert run_cli(["derive", str(path), d.name, "--out", str(out)]) == 0
-            sizes[d.name] = out.stat().st_size
-            node, doc_domain = derivation_from_doc(json.loads(out.read_text()))
+            data = out.read_bytes()
+            sizes[d.name] = len(data)
+            digest.update(data)
+            node, doc_domain = derivation_from_doc(json.loads(data))
             assert doc_domain is domain
             assert check_derivation(node, domain, fuel).ok, d.name
             assert (node.ctx, node.term, node.ty) == ((), body, ty), d.name
     assert len(sizes) == 25
     # The unfolded tree of this one-line definition took 843,644 bytes.
     assert sizes["someType"] < 32_000
+    # The documents in file and definition order; a change to what the
+    # checker derives for the corpus shows here.
+    assert sum(sizes.values()) == 31_292
+    assert digest.hexdigest() == (
+        "937ca0a37c2532a1875c68ab6631d7fb865a5f08291d96553200b7840c59d7e1"
+    )
 
 
 def test_derive_rejected_definition(tmp_path, capsys):

@@ -38,6 +38,7 @@ from ulevels.terms import (
     Term,
     Univ,
     Var,
+    children,
     is_value,
 )
 
@@ -214,6 +215,33 @@ def test_pars_flags_fuel_exhaustion_on_loop():
     reduct, finished = pars(OMEGA_LOOP, 100)
     assert reduct == OMEGA_LOOP
     assert not finished
+
+
+def _has_redex(t: Term) -> bool:
+    kids = children(t)
+    if type(t) is App and type(kids[0]) is Lam:
+        return True
+    return any(_has_redex(k) for k in kids)
+
+
+def _scan_then_develop(t: Term, fuel: int) -> tuple[Term, bool]:
+    """``pars`` as a scan for a redex before each development."""
+    while _has_redex(t):
+        if fuel <= 0:
+            return t, False
+        t = complete_development(t)
+        fuel -= 1
+    return t, True
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 3, DEFAULT_FUEL])
+def test_pars_agrees_with_a_redex_scan(fuel):
+    for i in range(2_000):
+        t = gen_raw(random.Random(f"pars-oracle/{i}"), 12)
+        assert is_normal(t) is not _has_redex(t), t
+        assert pars(t, fuel) == _scan_then_develop(t, fuel), t
+    assert _has_redex(OMEGA_LOOP) and not is_normal(OMEGA_LOOP)
+    assert pars(OMEGA_LOOP, fuel) == (OMEGA_LOOP, False)
 
 
 def test_pars_normalizes():

@@ -170,6 +170,19 @@ def test_duplicate_definition_rejected():
         parse("def a : U 1 := U 0\ndef a : U 1 := U 0\n")
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("#domain nat\ndef a : U 1 := U 0\n#domain nat-omega\n"
+         "def b : Level< omega := 3\n", "line 3: duplicate #domain pragma"),
+        ("#fuel 5\n#domain nat\n#fuel 50\n", "line 3: duplicate #fuel pragma"),
+    ],
+)
+def test_repeated_pragma_rejected(source, message):
+    with pytest.raises(SurfaceError, match=message):
+        parse(source)
+
+
 def test_definitions_are_transparent():
     mod = parse(
         """
