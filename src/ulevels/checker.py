@@ -406,7 +406,12 @@ def check_derivation(
         if msg is not None:
             errors.append(f"{_path(up)}: {msg}" if up else msg)
 
-    go(d, None)
+    try:
+        go(d, None)
+    except RecursionError:
+        return DerivationReport(
+            False, ("resource limit: derivation nested too deeply to validate",)
+        )
     return DerivationReport(not errors, tuple(errors))
 
 
@@ -741,8 +746,8 @@ class TypeChecker:
 
     def _bound_typing(self, ctx: Context, t: Term) -> Term | None:
         """A bound strictly above the level term ``t``, if one can be
-        synthesized cheaply: context entry, literal successor, or the
-        annotation of a stuck elimination; otherwise full inference."""
+        synthesized cheaply: context entry or the annotation of a stuck
+        elimination; otherwise full inference."""
         match t:
             case Var(ix):
                 try:
@@ -750,8 +755,6 @@ class TypeChecker:
                 except IndexError:
                     return None
                 return entry.bound if isinstance(entry, LevelLt) else None
-            case Lvl(v):
-                return Lvl(self.domain.next_above(v))
             case Absurd(ann, _):
                 n = self._whnf(ann)
                 return n.bound if isinstance(n, LevelLt) else None

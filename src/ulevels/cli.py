@@ -36,6 +36,13 @@ EXIT_USAGE = 2
 EXIT_FUEL = 3
 
 
+def _exit_code(failed: int, undecided: int) -> int:
+    """1 if anything failed, else 3 if anything is undecided, else 0."""
+    if failed:
+        return EXIT_CHECK_FAILED
+    return EXIT_FUEL if undecided else EXIT_OK
+
+
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -131,7 +138,7 @@ def _cmd_check(args) -> int:
     module = _load(args.file)
     report = check_module(module, args.domain, args.fuel)
     sys.stdout.write(format_report(report))
-    return report.exit_code()
+    return _exit_code(report.failed, report.undecided_count)
 
 
 def _checked_target(args):
@@ -205,9 +212,7 @@ def _cmd_fuzz(args) -> int:
         kwargs["fuel"] = args.fuel
     report = run_suite(args.suite, GenConfig(**kwargs))
     print(report.summary())
-    if not report.ok:
-        return EXIT_CHECK_FAILED
-    return EXIT_FUEL if report.inconclusive else EXIT_OK
+    return _exit_code(len(report.failures), len(report.inconclusive))
 
 
 _COMMANDS = {

@@ -137,10 +137,7 @@ def _weighted(rng: random.Random, options: Sequence[tuple[str, int]]) -> str:
 def _above(rng: random.Random, domain: LevelDomain, value: LevelValue) -> LevelValue:
     if domain is NAT_OMEGA and not isinstance(value, OmegaPlus) and rng.random() < 0.3:
         return OmegaPlus(rng.randrange(3))
-    out = domain.next_above(value)
-    for _ in range(rng.randrange(3)):
-        out = domain.next_above(out)
-    return out
+    return domain.nth_above(value, 1 + rng.randrange(3))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +538,15 @@ def rules_in(d: Derivation) -> frozenset[str]:
 # Suites
 
 
+def _reducts(t: Term, cap: int) -> tuple[frozenset[Term], bool]:
+    """The parallel reducts of ``t``, and False; or, when they pass
+    ``cap``, its complete development alone, and True."""
+    try:
+        return par_reducts(t, cap=cap), False
+    except ParExplosion:
+        return frozenset({complete_development(t)}), True
+
+
 def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("subject-reduction")
     domain = cfg.domain
@@ -549,20 +555,25 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
         tc = TypeChecker(domain, cfg.fuel)
         case = gen_case(cfg, i, tc=tc)
         tally.feed((case.ctx, case.term, case.ty))
-        try:
-            reducts = par_reducts(case.term, cap=4000)
-        except ParExplosion:
-            tally.fallbacks += 1
-            reducts = frozenset({complete_development(case.term)})
+
+        def loses_type(t: Term) -> bool:
+            def verdict(u: Term) -> Verdict:
+                return check(case.ctx, u, case.ty, domain, cfg.fuel).verdict
+
+            return verdict(t) is Verdict.ACCEPTED and any(
+                verdict(u) is Verdict.REJECTED for u in _reducts(t, 2000)[0] if u != t
+            )
+
+        reducts, fell_back = _reducts(case.term, 4000)
+        tally.fallbacks += fell_back
         for u in reducts:
             if u == case.term:
                 continue
             res = tc.check(case.ctx, u, case.ty)
             if res.verdict is Verdict.REJECTED:
-                shrunk = _shrink_sr(case.ctx, case.term, case.ty, domain, cfg.fuel)
                 tally.fail(
                     f"case {i}: type lost after reduction; "
-                    f"term {shrunk!r} : {case.ty!r}"
+                    f"term {shrink_term(case.term, loses_type)!r} : {case.ty!r}"
                 )
                 break
             if res.verdict is Verdict.UNDECIDED:
@@ -572,43 +583,27 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
     return tally.report(cfg.cases)
 
 
-def _shrink_sr(ctx: Context, term: Term, ty: Term, domain, fuel: int) -> Term:
-    def fails(t: Term) -> bool:
-        if check(ctx, t, ty, domain, fuel).verdict is not Verdict.ACCEPTED:
-            return False
-        try:
-            reducts = par_reducts(t, cap=2000)
-        except ParExplosion:
-            reducts = frozenset({complete_development(t)})
-        return any(
-            check(ctx, u, ty, domain, fuel).verdict is Verdict.REJECTED
-            for u in reducts
-            if u != t
-        )
-
-    return shrink_term(term, fails)
+def _breaks_diamond(t: Term, cap: int) -> bool:
+    """Whether some parallel reduct of ``t`` does not rejoin its
+    complete development in one parallel step."""
+    developed = complete_development(t)
+    return any(
+        not par_step_check(u, developed, cap=cap) for u in par_reducts(t, cap=cap)
+    )
 
 
 def run_diamond(cfg: GenConfig) -> PropertyReport:
     tally = _Tally("diamond")
 
-    def fails(s: Term) -> bool:
-        d = complete_development(s)
-        return any(
-            not par_step_check(v, d, cap=5000) for v in par_reducts(s, cap=5000)
-        )
-
     def one(i: int) -> None:
         t = gen_raw(_rng_for(cfg, i), cfg.raw_size)
         tally.feed(t)
-        developed = complete_development(t)
-        for u in par_reducts(t, cap=20000):
-            if not par_step_check(u, developed, cap=20000):
-                tally.fail(
-                    f"case {i}: reduct does not rejoin the complete "
-                    f"development of {shrink_term(t, fails)!r}"
-                )
-                break
+        if _breaks_diamond(t, 20000):
+            shrunk = shrink_term(t, lambda s: _breaks_diamond(s, 5000))
+            tally.fail(
+                f"case {i}: reduct does not rejoin the complete "
+                f"development of {shrunk!r}"
+            )
 
     tally.run(cfg.cases, one)
     return tally.report(cfg.cases)

@@ -1,9 +1,14 @@
-"""Level domains: well-ordered universe indices with a strict successor.
+"""Level domains: well-founded universe indices with a strict successor.
 
-Two instances are provided. ``NAT`` is the naturals. ``NAT_OMEGA`` extends
-them with a second tier ``omega, omega+1, ...`` sitting above every
-natural; order is lexicographic on (tier, offset). Both are cofinal:
-``next_above`` always yields a strictly larger element in the same tier.
+Every domain draws its levels from one value space, ``Finite(n)`` and
+``OmegaPlus(n)``. ``LevelDomain`` owns everything about that space: the
+order (lexicographic on (tier, offset), so every ``omega+n`` sits above
+every natural), the successor ``next_above`` (the next offset in the
+same tier, so every level has one), the literal syntax (``0``, ``7``,
+``omega``, ``omega+1``) and sampling below a bound. A domain adds a
+``name``, ``contains`` (which values of the space it admits) and
+``sample``. Two are provided: ``NAT``, the naturals, and ``NAT_OMEGA``,
+which adds the tier ``omega, omega+1, ...``.
 """
 
 from __future__ import annotations
@@ -54,8 +59,7 @@ class LevelSyntaxError(ValueError):
     """Raised for text that is not a level literal of the domain."""
 
 
-_FINITE_RE = re.compile(r"0|[1-9][0-9]*")
-_OMEGA_RE = re.compile(r"omega(\+(?P<off>[1-9][0-9]*))?")
+_LITERAL_RE = re.compile(r"(?P<n>0|[1-9][0-9]*)|omega(\+(?P<off>[1-9][0-9]*))?")
 
 
 _TIERS = {Finite: 0, OmegaPlus: 1}
@@ -70,10 +74,13 @@ def _key(value: LevelValue) -> tuple[int, int]:
 
 
 class LevelDomain:
-    """A well-ordered collection of levels with strict successor.
+    """A set of levels drawn from the ``Finite``/``OmegaPlus`` value
+    space, well-founded under its order and with a strict successor.
 
-    Subclasses pin down which values belong to the domain and how
-    literals read and print; the order itself is shared.
+    The order, the successor, the literal syntax and sampling below a
+    bound are those of the whole value space and are shared; a domain
+    adds a ``name``, ``contains`` and ``sample``. Literals and bounds
+    outside ``contains`` are rejected.
     """
 
     name: str = "abstract"
@@ -98,7 +105,13 @@ class LevelDomain:
         return Finite(0)
 
     def parse_literal(self, text: str) -> LevelValue:
-        raise NotImplementedError
+        m = _LITERAL_RE.fullmatch(text)
+        if m:
+            n, off = m.group("n", "off")
+            value = Finite(int(n)) if n else OmegaPlus(int(off or 0))
+            if self.contains(value):
+                return value
+        raise LevelSyntaxError(f"not a {self.name} level literal: {text!r}")
 
     def format_literal(self, value: LevelValue) -> str:
         match value:
@@ -118,7 +131,16 @@ class LevelDomain:
 
     def sample_below(self, rng, bound: LevelValue) -> LevelValue | None:
         """Some value strictly below ``bound``, or None if none exists."""
-        raise NotImplementedError
+        if not self.contains(bound):
+            raise TypeError(f"value outside {self.name} domain: {bound!r}")
+        match bound:
+            case Finite(0):
+                return None
+            case Finite(n):
+                return Finite(rng.randrange(n))
+            case OmegaPlus(n) if n and rng.random() < 0.5:
+                return OmegaPlus(rng.randrange(n))
+        return Finite(rng.randrange(6))
 
 
 class NatDomain(LevelDomain):
@@ -129,21 +151,8 @@ class NatDomain(LevelDomain):
     def contains(self, value: LevelValue) -> bool:
         return isinstance(value, Finite)
 
-    def parse_literal(self, text: str) -> LevelValue:
-        if _FINITE_RE.fullmatch(text):
-            return Finite(int(text))
-        raise LevelSyntaxError(f"not a nat level literal: {text!r}")
-
     def sample(self, rng, ceiling: int = 6) -> LevelValue:
         return Finite(rng.randrange(ceiling))
-
-    def sample_below(self, rng, bound: LevelValue) -> LevelValue | None:
-        match bound:
-            case Finite(0):
-                return None
-            case Finite(n):
-                return Finite(rng.randrange(n))
-        raise TypeError(f"value outside nat domain: {bound!r}")
 
 
 class NatOmegaDomain(LevelDomain):
@@ -154,33 +163,10 @@ class NatOmegaDomain(LevelDomain):
     def contains(self, value: LevelValue) -> bool:
         return isinstance(value, (Finite, OmegaPlus))
 
-    def parse_literal(self, text: str) -> LevelValue:
-        if _FINITE_RE.fullmatch(text):
-            return Finite(int(text))
-        m = _OMEGA_RE.fullmatch(text)
-        if m:
-            off = m.group("off")
-            return OmegaPlus(int(off) if off else 0)
-        raise LevelSyntaxError(f"not a nat-omega level literal: {text!r}")
-
     def sample(self, rng, ceiling: int = 6) -> LevelValue:
         if rng.random() < 0.25:
             return OmegaPlus(rng.randrange(max(ceiling // 2, 1)))
         return Finite(rng.randrange(ceiling))
-
-    def sample_below(self, rng, bound: LevelValue) -> LevelValue | None:
-        match bound:
-            case Finite(0):
-                return None
-            case Finite(n):
-                return Finite(rng.randrange(n))
-            case OmegaPlus(0):
-                return Finite(rng.randrange(6))
-            case OmegaPlus(n):
-                if rng.random() < 0.5:
-                    return OmegaPlus(rng.randrange(n))
-                return Finite(rng.randrange(6))
-        raise TypeError(f"Unexpected level value: {bound!r}")
 
 
 NAT = NatDomain()

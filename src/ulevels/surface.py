@@ -423,13 +423,6 @@ class ModuleReport:
     def ok(self) -> bool:
         return self.failed == 0 and self.undecided_count == 0
 
-    def exit_code(self) -> int:
-        if self.failed:
-            return 1
-        if self.undecided_count:
-            return 3
-        return 0
-
 
 def module_settings(
     module: Module,

@@ -13,6 +13,7 @@ from ulevels import harness, levels, subst
 from ulevels.checker import (
     CheckResult,
     Derivation,
+    DerivationReport,
     FuelError,
     TypeChecker,
     TypingError,
@@ -204,6 +205,13 @@ def test_level_lt_check_climbs_like_the_checker():
     ill_typed = (U(0),)
     rejected(ill_typed, lo, LevelLt(Lvl(Finite(5))))
     assert not level_lt_check(ill_typed, lo, Lvl(Finite(5)))
+
+
+def test_climb_from_a_literal_yields_its_successors():
+    # Past a literal the climb infers each literal's type, whose bound is
+    # the next literal; only the join oracle below climbs that far.
+    climb = list(TypeChecker()._climb((), Lvl(Finite(3))))
+    assert climb == [Lvl(Finite(n)) for n in range(3, 4 + checker_mod.CLIMB_CAP)]
 
 
 def test_level_search_decides_at_a_literal(monkeypatch):
@@ -768,6 +776,20 @@ def test_derivation_from_doc_rejects_malformed_documents(corrupt):
     corrupt(doc)
     with pytest.raises(ValueError):
         derivation_from_doc(doc)
+
+
+def test_check_derivation_reports_a_chain_too_deep_to_validate():
+    # The loader admits any chain up to the recursion limit; the validator
+    # recurses once per node and meets the limit first.
+    doc = derivation_to_doc(Derivation("Nil", (), None, None))
+    doc["nodes"].extend(
+        {"rule": "Conv", "ctx": 0, "term": None, "ty": None, "premises": [i]}
+        for i in range(sys.getrecursionlimit() - 5)
+    )
+    d, domain = derivation_from_doc(doc)
+    assert check_derivation(d, domain) == DerivationReport(
+        False, ("resource limit: derivation nested too deeply to validate",)
+    )
 
 
 def test_derivation_from_doc_rejects_tree_documents():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -110,13 +111,15 @@ def test_parse_literal(text, value):
 
 @pytest.mark.parametrize("text", ["", "007", "-1", "omega+0", "omega+", "w", "omega +1"])
 def test_parse_literal_rejects(text):
-    with pytest.raises(LevelSyntaxError):
+    with pytest.raises(LevelSyntaxError) as e:
         NAT_OMEGA.parse_literal(text)
+    assert str(e.value) == f"not a nat-omega level literal: {text!r}"
 
 
 def test_nat_domain_rejects_omega_literals():
-    with pytest.raises(LevelSyntaxError):
+    with pytest.raises(LevelSyntaxError) as e:
         NAT.parse_literal("omega")
+    assert str(e.value) == "not a nat level literal: 'omega'"
     assert NAT.parse_literal("3") == Finite(3)
 
 
@@ -144,8 +147,6 @@ def test_membership():
 
 
 def test_zero_and_sampling_stay_in_domain():
-    import random
-
     rng = random.Random(7)
     assert NAT.zero() == Finite(0)
     for _ in range(200):
@@ -155,6 +156,52 @@ def test_zero_and_sampling_stay_in_domain():
         assert below is not None and NAT_OMEGA.lt(below, OmegaPlus(2))
     assert NAT.sample_below(rng, Finite(0)) is None
     assert NAT_OMEGA.sample_below(rng, Finite(0)) is None
+    with pytest.raises(TypeError, match="^value outside nat domain: OmegaPlus"):
+        NAT.sample_below(rng, OmegaPlus(0))
+
+
+def _nat_sample_below(rng, bound):
+    # NatDomain.sample_below before the domains shared one.
+    match bound:
+        case Finite(0):
+            return None
+        case Finite(n):
+            return Finite(rng.randrange(n))
+    raise TypeError(f"value outside nat domain: {bound!r}")
+
+
+def _nat_omega_sample_below(rng, bound):
+    # NatOmegaDomain.sample_below before the domains shared one.
+    match bound:
+        case Finite(0):
+            return None
+        case Finite(n):
+            return Finite(rng.randrange(n))
+        case OmegaPlus(0):
+            return Finite(rng.randrange(6))
+        case OmegaPlus(n):
+            if rng.random() < 0.5:
+                return OmegaPlus(rng.randrange(n))
+            return Finite(rng.randrange(6))
+    raise TypeError(f"Unexpected level value: {bound!r}")
+
+
+@pytest.mark.parametrize(
+    "domain, oracle",
+    [(NAT, _nat_sample_below), (NAT_OMEGA, _nat_omega_sample_below)],
+    ids=["nat", "nat-omega"],
+)
+def test_sample_below_draws_as_each_domain_did(domain, oracle):
+    # Same values and the same random draws, so generated cases and the
+    # fuzz digests do not move.
+    pick = random.Random(5)
+    tiers = [Finite] if domain is NAT else [Finite, OmegaPlus]
+    bounds = [tier(k) for tier in tiers for k in (0, 1, 3)]
+    bounds += [pick.choice(tiers)(pick.randrange(8)) for _ in range(2000 - len(bounds))]
+    got, want = random.Random(9), random.Random(9)
+    for bound in bounds:
+        assert domain.sample_below(got, bound) == oracle(want, bound), bound
+        assert got.getstate() == want.getstate(), bound
 
 
 # ---------------------------------------------------------------------------
