@@ -26,9 +26,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from . import subst
@@ -41,7 +43,14 @@ from .checker import (
     Verdict,
     check,
 )
-from .levels import LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
+from .levels import (
+    LevelDomain,
+    LevelValue,
+    NAT_OMEGA,
+    OmegaPlus,
+    domain_named,
+    randbelow,
+)
 from .node import Node
 from .reduction import (
     DEFAULT_FUEL,
@@ -124,20 +133,35 @@ def _rng_for(cfg: GenConfig, index: int) -> random.Random:
     return random.Random(f"{cfg.seed}/{index}")
 
 
-def _weighted(rng: random.Random, options: Sequence[tuple[str, int]]) -> str:
-    total = sum(w for _, w in options)
-    roll = rng.randrange(total)
-    for tag, w in options:
-        roll -= w
-        if roll < 0:
-            return tag
-    return options[-1][0]
+_Options = tuple[tuple[str, int], ...]
+
+# (total weight, cumulative weights, tags) of each option tuple drawn
+# from. The generators build their option tuples from a fixed set of
+# literals, a few dozen in all, so this holds at most that many entries.
+_TABLES: dict[_Options, tuple[int, tuple[int, ...], tuple[str, ...]]] = {}
+
+
+def _weighted(rng: random.Random, options: _Options) -> str:
+    """A tag of ``options`` drawn with probability proportional to its
+    weight: one ``randbelow`` over the total weight, the first tag whose
+    cumulative weight exceeds it."""
+    table = _TABLES.get(options)
+    if table is None:
+        cumulative = tuple(accumulate(w for _, w in options))
+        tags = tuple(tag for tag, _ in options)
+        table = _TABLES[options] = (cumulative[-1], cumulative, tags)
+    total, cumulative, tags = table
+    return tags[bisect_right(cumulative, randbelow(rng, total))]
+
+
+def _choice(rng: random.Random, seq: Sequence[int]) -> int:
+    return seq[randbelow(rng, len(seq))]
 
 
 def _above(rng: random.Random, domain: LevelDomain, value: LevelValue) -> LevelValue:
     if domain is NAT_OMEGA and not isinstance(value, OmegaPlus) and rng.random() < 0.3:
-        return OmegaPlus(rng.randrange(3))
-    return domain.nth_above(value, 1 + rng.randrange(3))
+        return OmegaPlus(randbelow(rng, 3))
+    return domain.nth_above(value, 1 + randbelow(rng, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +169,16 @@ def _above(rng: random.Random, domain: LevelDomain, value: LevelValue) -> LevelV
 
 
 def gen_context(rng: random.Random, domain: LevelDomain) -> Context:
-    depth = rng.randint(0, 4)
+    depth = randbelow(rng, 5)
     entries: list[Term] = []
     for i in range(depth):
         lt_ixs = [j for j, e in enumerate(entries) if isinstance(e, LevelLt)]
         ty_ixs = [j for j, e in enumerate(entries) if isinstance(e, Univ)]
-        options = [("bot", 3), ("ulit", 3), ("ltlit", 3), ("arrow", 1)]
+        options: _Options = (("bot", 3), ("ulit", 3), ("ltlit", 3), ("arrow", 1))
         if lt_ixs:
-            options += [("ltvar", 3), ("uvar", 2)]
+            options += (("ltvar", 3), ("uvar", 2))
         if ty_ixs:
-            options += [("tyvar", 2)]
+            options += (("tyvar", 2),)
         tag = _weighted(rng, options)
         if tag == "bot":
             entries.append(Mty())
@@ -167,13 +191,13 @@ def gen_context(rng: random.Random, domain: LevelDomain) -> Context:
             b = Univ(Lvl(domain.sample(rng, 2)))
             entries.append(Pi(a, subst.shift(b, 1, 0)))
         elif tag == "ltvar":
-            j = rng.choice(lt_ixs)
+            j = _choice(rng, lt_ixs)
             entries.append(LevelLt(Var(i - 1 - j)))
         elif tag == "uvar":
-            j = rng.choice(lt_ixs)
+            j = _choice(rng, lt_ixs)
             entries.append(Univ(Var(i - 1 - j)))
         else:
-            j = rng.choice(ty_ixs)
+            j = _choice(rng, ty_ixs)
             entries.append(Var(i - 1 - j))
     return tuple(entries)
 
@@ -195,15 +219,15 @@ def gen_type(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int)
     lt_ixs = by_class.get(LevelLt)
     ty_ixs = by_class.get(Univ)
     bot_ixs = by_class.get(Mty)
-    options = [("bot", 2), ("ulit", 3), ("ltlit", 3)]
+    options: _Options = (("bot", 2), ("ulit", 3), ("ltlit", 3))
     if budget > 2:
-        options.append(("pi", 3))
+        options += (("pi", 3),)
     if lt_ixs:
-        options += [("uvar", 2), ("ltvar", 2)]
+        options += (("uvar", 2), ("ltvar", 2))
     if ty_ixs:
-        options.append(("tyvar", 2))
+        options += (("tyvar", 2),)
     if bot_ixs:
-        options.append(("ustuck", 2))
+        options += (("ustuck", 2),)
     tag = _weighted(rng, options)
     if tag == "bot":
         return Mty()
@@ -212,13 +236,13 @@ def gen_type(rng: random.Random, ctx: Context, domain: LevelDomain, budget: int)
     if tag == "ltlit":
         return LevelLt(Lvl(domain.sample(rng)))
     if tag == "uvar":
-        return Univ(Var(rng.choice(lt_ixs)))
+        return Univ(Var(_choice(rng, lt_ixs)))
     if tag == "ltvar":
-        return LevelLt(Var(rng.choice(lt_ixs)))
+        return LevelLt(Var(_choice(rng, lt_ixs)))
     if tag == "tyvar":
-        return Var(rng.choice(ty_ixs))
+        return Var(_choice(rng, ty_ixs))
     if tag == "ustuck":
-        return Univ(Absurd(LevelLt(Lvl(domain.sample(rng))), Var(rng.choice(bot_ixs))))
+        return Univ(Absurd(LevelLt(Lvl(domain.sample(rng))), Var(_choice(rng, bot_ixs))))
     dom = gen_type(rng, ctx, domain, budget // 2)
     cod = gen_type(rng, subst.ctx_extend(ctx, dom), domain, budget // 2)
     return Pi(dom, cod)
@@ -243,7 +267,7 @@ def _inhabit(
             below = domain.sample_below(rng, bound)
             return Lvl(below) if below is not None else None
         case Mty():
-            return Var(rng.choice(bot_ixs)) if bot_ixs else None
+            return Var(_choice(rng, bot_ixs)) if bot_ixs else None
     return None
 
 
@@ -254,23 +278,23 @@ def gen_term(rng: random.Random, ctx: Context, tc: TypeChecker, budget: int) -> 
     types, by_class = _scope(ctx)
     bot_ixs = by_class.get(Mty)
     pi_ixs = by_class.get(Pi)
-    options = [("lvl", 4), ("type", 3)]
+    options: _Options = (("lvl", 4), ("type", 3))
     if ctx:
-        options.append(("var", 4))
+        options += (("var", 4),)
     if budget > 2:
-        options.append(("lam", 3))
+        options += (("lam", 3),)
     if budget > 3:
-        options.append(("redex", 3))
+        options += (("redex", 3),)
     if bot_ixs:
-        options.append(("absurd", 3))
+        options += (("absurd", 3),)
     if pi_ixs:
-        options.append(("appvar", 2))
+        options += (("appvar", 2),)
     tag = _weighted(rng, options)
     if tag == "lvl":
         a = domain.sample(rng)
         return Lvl(a)
     if tag == "var":
-        return Var(rng.randrange(len(ctx)))
+        return Var(randbelow(rng, len(ctx)))
     if tag == "type":
         return gen_type(rng, ctx, domain, budget)
     if tag == "lam":
@@ -287,8 +311,8 @@ def gen_term(rng: random.Random, ctx: Context, tc: TypeChecker, budget: int) -> 
         return App(Lam(arg_ty, body), arg)
     if tag == "absurd":
         ann = gen_type(rng, ctx, domain, max(1, budget - 1))
-        return Absurd(ann, Var(rng.choice(bot_ixs)))
-    pix = rng.choice(pi_ixs)
+        return Absurd(ann, Var(_choice(rng, bot_ixs)))
+    pix = _choice(rng, pi_ixs)
     arg = _inhabit(rng, types, bot_ixs, types[pix].dom, domain)
     if arg is None:
         return gen_term(rng, ctx, tc, max(1, budget - 1))
@@ -373,7 +397,7 @@ def gen_raw(rng: random.Random, size: int, free: int = 3) -> Term:
     if size <= 1:
         tag = _weighted(rng, _RAW_LEAVES)
         if tag == "var":
-            return Var(rng.randrange(max(1, free + 1)))
+            return Var(randbelow(rng, max(1, free + 1)))
         if tag == "lvl":
             return Lvl(NAT_OMEGA.sample(rng, 3))
         return Mty()

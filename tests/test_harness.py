@@ -22,7 +22,7 @@ from ulevels.harness import (
     rules_in,
     shrink_term,
 )
-from ulevels.levels import NAT_OMEGA, domain_named
+from ulevels.levels import DOMAINS, NAT_OMEGA, Finite, OmegaPlus, domain_named
 from ulevels.reduction import ParExplosion, par_reducts
 from ulevels.subst import subst1
 from ulevels.terms import App, Lam, Lvl, Mty, Term, Var, term_size
@@ -176,6 +176,67 @@ def test_weighted_draws_the_linear_scan_stream(monkeypatch):
         for _ in range(2000):
             assert harness._weighted(got, options) == _linear_weighted(want, options)
             assert got.getstate() == want.getstate()
+
+
+def test_generators_draw_nothing_through_random_bounded_draws(monkeypatch):
+    # Every bounded draw goes through levels.randbelow; a generator left
+    # on randrange, choice or randint would call the patched methods.
+    calls: list[str] = []
+
+    def slow_path(name):
+        def draw(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"Random.{name} called")
+
+        return draw
+
+    cfg = GenConfig(seed=7, cases=40)
+    with monkeypatch.context() as m:
+        for name in ("randrange", "choice", "randint"):
+            m.setattr(random.Random, name, slow_path(name))
+        for closed in (False, True):
+            assert sum(1 for _ in gen_well_typed(cfg, closed)) == cfg.cases
+        for i in range(cfg.cases):
+            gen_raw(harness._rng_for(cfg, i), cfg.raw_size)
+        for suite in SUITES:
+            run_suite(suite, GenConfig(seed=7, cases=6))
+        rng = random.Random(7)
+        for domain in DOMAINS.values():
+            for bound in (Finite(3), OmegaPlus(0), OmegaPlus(2)):
+                for _ in range(20):
+                    domain.sample(rng)
+                    if domain.contains(bound):
+                        domain.sample_below(rng, bound)
+    assert calls == []
+
+
+# SHA-256 over each case's final rng.getstate() for 200 open and 200
+# closed typed cases and 200 gen_raw terms at seed 7: the generators must
+# consume the stream as the randrange/choice/randint draws did, not only
+# return the same outputs. Computed with those draws in place.
+PINNED_FINAL_STATES = "baa376ef841d5b3c50fdd4c84b69e70dbf27b4cbea46b17607f048d10052a8f7"
+
+
+def test_generators_leave_the_pinned_stream_states(monkeypatch):
+    cfg = GenConfig(seed=7, cases=200)
+    h = hashlib.sha256()
+    rngs: list[random.Random] = []
+    make = harness._rng_for
+
+    def recorded(cfg: GenConfig, index: int) -> random.Random:
+        rngs.append(make(cfg, index))
+        return rngs[-1]
+
+    monkeypatch.setattr(harness, "_rng_for", recorded)
+    for closed in (False, True):
+        for _ in gen_well_typed(cfg, closed):
+            h.update(repr(rngs.pop().getstate()).encode())
+    monkeypatch.undo()
+    for i in range(cfg.cases):
+        rng = harness._rng_for(cfg, i)
+        gen_raw(rng, cfg.raw_size)
+        h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == PINNED_FINAL_STATES
 
 
 def test_gen_raw_is_deterministic_and_sized():

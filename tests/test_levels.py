@@ -18,6 +18,7 @@ from ulevels.levels import (
     LevelSyntaxError,
     OmegaPlus,
     domain_named,
+    randbelow,
 )
 
 
@@ -202,6 +203,37 @@ def test_sample_below_draws_as_each_domain_did(domain, oracle):
     for bound in bounds:
         assert domain.sample_below(got, bound) == oracle(want, bound), bound
         assert got.getstate() == want.getstate(), bound
+
+
+# 1..130, then each power of two up to 2**20 and its neighbours.
+_BOUNDS = list(range(1, 131)) + [2**k + d for k in range(8, 21) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda rng, n: rng.randrange(n),
+        lambda rng, n: rng.choice(range(n)),
+        lambda rng, n: rng.randint(0, n - 1),
+    ],
+    ids=["randrange", "choice", "randint"],
+)
+@pytest.mark.parametrize("seed", [0, 7, "draws"])
+def test_randbelow_draws_the_random_module_stream(oracle, seed):
+    got, want = random.Random(seed), random.Random(seed)
+    for n in _BOUNDS:
+        for _ in range(3):
+            assert randbelow(got, n) == oracle(want, n), n
+            assert got.getstate() == want.getstate(), n
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**20)])
+def test_randbelow_rejects_an_empty_range_without_drawing(n):
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        randbelow(rng, n)
+    assert rng.getstate() == before
 
 
 # ---------------------------------------------------------------------------
