@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .levels import Finite, LevelDomain, NAT_OMEGA, OmegaPlus, domain_named
@@ -50,6 +51,7 @@ from .terms import (
     Univ,
     Var,
     alpha_equal,
+    children,
     iter_subterms,
 )
 from . import subst
@@ -60,6 +62,7 @@ __all__ = [
     "check_derivation",
     "derivation_to_doc",
     "derivation_from_doc",
+    "postorder",
     "DERIVATION_FORMAT",
     "RULES",
     "Verdict",
@@ -109,6 +112,33 @@ class DerivationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _parts(part: Derivation | Context | Term) -> tuple:
+    """What ``part`` holds: a node its context, subject, type and
+    premises; a context its entries; a term its subterms."""
+    if isinstance(part, Derivation):
+        return (part.ctx, part.term, part.ty, *part.premises)
+    return part if type(part) is tuple else children(part)
+
+
+def postorder(root: Derivation, parts=_parts) -> Iterator:
+    """Each distinct part reachable from ``root`` through ``parts``,
+    once, after the parts it holds, without recursing. Nodes are
+    distinct by identity, contexts and terms by value."""
+    seen = {id(root), None}  # None, a missing subject or type, is no part
+    stack = [(root, iter(parts(root)))]
+    while stack:
+        part, held = stack[-1]
+        for kid in held:
+            key = id(kid) if isinstance(kid, Derivation) else kid
+            if key not in seen:
+                seen.add(key)
+                stack.append((kid, iter(parts(kid))))
+                break
+        else:
+            stack.pop()
+            yield part
 
 
 # ---------------------------------------------------------------------------
@@ -442,41 +472,59 @@ _LEVEL_TIERS = {"finite": Finite, "omega": OmegaPlus}
 
 
 def derivation_to_doc(d: Derivation, domain: LevelDomain = NAT_OMEGA) -> dict:
-    """Table document for ``d``; see :func:`derivation_from_doc`."""
+    """Table document for ``d``; see :func:`derivation_from_doc`. Raises
+    RecursionError where that reader would refuse the document."""
     tables: dict[str, list] = {"terms": [], "ctxs": [], "nodes": []}
-    written: dict[str, dict] = {name: {} for name in tables}
-
-    def add(table: str, key, build) -> int:
-        ix = written[table].get(key)
-        if ix is None:
-            entry = build()
-            ix = written[table][key] = len(tables[table])
-            tables[table].append(entry)
-        return ix
-
-    def term_entry(t: Term) -> dict:
-        match t:
-            case Var(i):
-                return {"k": "Var", "ix": i}
-            case Lvl(v):
-                tier = "finite" if isinstance(v, Finite) else "omega"
-                return {"k": "Lvl", "tier": tier, "n": v.n}
-        return {"k": type(t).__name__} | dict(zip(t.__match_args__, map(term, t)))
-
-    def term(t: Term | None) -> int | None:
-        return None if t is None else add("terms", t, lambda: term_entry(t))
-
-    def node(n: Derivation) -> int:
-        return add("nodes", id(n), lambda: {
-            "rule": n.rule,
-            "ctx": add("ctxs", n.ctx, lambda: [term(t) for t in n.ctx]),
-            "term": term(n.term),
-            "ty": term(n.ty),
-            "premises": [node(p) for p in n.premises],
-        })
-
-    node(d)
+    ix: dict = {None: None}  # each part's index in its table, nodes by id
+    for part in postorder(d):
+        if isinstance(part, Derivation):
+            rule, ctx, t, ty, ps = part
+            key, table = id(part), "nodes"
+            entry = {"rule": rule, "ctx": ix[ctx], "term": ix[t], "ty": ix[ty]}
+            entry["premises"] = [ix[id(p)] for p in ps]
+        elif type(part) is tuple:
+            key, table, entry = part, "ctxs", [ix[t] for t in part]
+        else:
+            key, table, entry = part, "terms", _term_entry(part, ix)
+        ix[key] = len(tables[table])
+        tables[table].append(entry)
+    _within_bound(tables["terms"], _term_refs, "term")
+    _within_bound(tables["nodes"], itemgetter("premises"), "derivation node")
     return {"format": DERIVATION_FORMAT, "domain": domain.name, **tables}
+
+
+def _term_entry(t: Term, ix: dict) -> dict:
+    match t:
+        case Var(i):
+            return {"k": "Var", "ix": i}
+        case Lvl(v):
+            tier = "finite" if isinstance(v, Finite) else "omega"
+            return {"k": "Lvl", "tier": tier, "n": v.n}
+    return {"k": type(t).__name__} | dict(zip(t.__match_args__, map(ix.__getitem__, t)))
+
+
+def _term_refs(entry: dict) -> list:
+    """The indices of the subterms of a term entry."""
+    cls = _TERM_CLASSES.get(entry["k"])
+    return [] if cls is None else [entry[name] for name in cls.__match_args__]
+
+
+def _within_bound(table: list, refs_of, what: str) -> None:
+    """Raise RecursionError if an entry of ``table``, holding the entries
+    at ``refs_of(entry)``, nests deeper than Python's recursion limit.
+    This is the one bound on documents, both ways: hashing a term or a
+    derivation node recurses in C, past that limit, and can overflow the
+    stack, so ``derive`` writes no deeper part and the loader returns
+    none."""
+    limit = sys.getrecursionlimit()
+    # An entry n deep holds a chain of n distinct entries of its table.
+    if len(table) <= limit:
+        return
+    depths: list[int] = []
+    for entry in table:
+        depths.append(1 + max((depths[i] for i in refs_of(entry)), default=0))
+        if depths[-1] > limit:
+            raise RecursionError(f"{what} nested deeper than {limit}")
 
 
 def _natural(value: object) -> int:
@@ -492,48 +540,34 @@ def _ref(table: list, value: object):
     return table[value]
 
 
-def _term_from_entry(
-    entry: dict, terms: list[Term], depths: list[int]
-) -> tuple[Term, int]:
-    """The term of ``entry`` and its nesting depth; ``depths`` holds the
-    depths of ``terms``."""
+def _term_from_entry(entry: dict, terms: list[Term]) -> Term:
     k = entry["k"]
     if k == "Var":
-        return Var(_natural(entry["ix"])), 1
+        return Var(_natural(entry["ix"]))
     if k == "Lvl":
-        return Lvl(_LEVEL_TIERS[entry["tier"]](_natural(entry["n"]))), 1
-    cls = _TERM_CLASSES.get(k)
-    if cls is None:
+        return Lvl(_LEVEL_TIERS[entry["tier"]](_natural(entry["n"])))
+    if k not in _TERM_CLASSES:
         raise ValueError(f"unknown term tag: {k!r}")
-    refs = [entry[name] for name in cls.__match_args__]
-    subterms = [_ref(terms, i) for i in refs]
-    return cls(*subterms), 1 + max((depths[i] for i in refs), default=0)
+    return _TERM_CLASSES[k](*[_ref(terms, i) for i in _term_refs(entry)])
 
 
 def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
     """Rebuild the derivation and domain of a :func:`derivation_to_doc`
     document, sharing each node, context and term as the tables do.
     Raises ValueError on anything else, including indices that do not
-    point to an earlier entry."""
+    point to an earlier entry and parts nested past
+    :func:`_within_bound`."""
     if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
         raise ValueError("not a derivation document: no known format marker")
     try:
         terms: list[Term] = []
-        depths: list[int] = []
-        # Hashing a term or a derivation node recurses in C, past Python's
-        # recursion limit, and can overflow the stack; no recursive pass
-        # that writes documents reaches that limit, so a deeper term or
-        # node is refused, not built.
-        limit = sys.getrecursionlimit()
         for entry in doc["terms"]:
-            term, depth = _term_from_entry(entry, terms, depths)
-            if depth > limit:
-                raise ValueError(f"term nested deeper than {limit}")
-            terms.append(term)
-            depths.append(depth)
+            terms.append(_term_from_entry(entry, terms))
+        # Building hashes nothing, so a part past the bound is refused
+        # before anything reads it.
+        _within_bound(doc["terms"], _term_refs, "term")
         ctxs = [tuple(_ref(terms, i) for i in c) for c in doc["ctxs"]]
         nodes: list[Derivation] = []
-        node_depths: list[int] = []
         for entry in doc["nodes"]:
             if entry["rule"] not in RULES:
                 raise ValueError(f"unknown rule: {entry['rule']!r}")
@@ -542,14 +576,12 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
                 None if entry[k] is None else _ref(terms, entry[k])
                 for k in ("term", "ty")
             )
-            refs = entry["premises"]
-            premises = tuple(_ref(nodes, p) for p in refs)
-            depth = 1 + max((node_depths[p] for p in refs), default=0)
-            if depth > limit:
-                raise ValueError(f"derivation node nested deeper than {limit}")
+            premises = tuple(_ref(nodes, p) for p in entry["premises"])
             nodes.append(Derivation(entry["rule"], ctx, term, ty, premises))
-            node_depths.append(depth)
+        _within_bound(doc["nodes"], itemgetter("premises"), "derivation node")
         return nodes[-1], domain_named(doc["domain"])
+    except RecursionError as e:
+        raise ValueError(str(e)) from None
     except (KeyError, IndexError, TypeError) as e:
         raise ValueError(f"malformed derivation document: {e!r}") from None
 

@@ -31,6 +31,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from . import subst
@@ -42,6 +43,7 @@ from .checker import (
     TypingError,
     Verdict,
     check,
+    postorder,
 )
 from .levels import (
     LevelDomain,
@@ -545,17 +547,7 @@ class _Tally:
 
 def rules_in(d: Derivation) -> frozenset[str]:
     """The rules ``d`` uses, visiting each distinct node once."""
-    rules: set[str] = set()
-    seen: set[int] = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        rules.add(node.rule)
-        stack.extend(node.premises)
-    return frozenset(rules)
+    return frozenset(node.rule for node in postorder(d, attrgetter("premises")))
 
 
 # ---------------------------------------------------------------------------

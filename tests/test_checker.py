@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from operator import attrgetter
 
 import pytest
 
@@ -27,6 +28,7 @@ from ulevels.checker import (
     infer,
     infer_with_derivation,
     level_lt_check,
+    postorder,
     search_derivation,
 )
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
@@ -42,6 +44,7 @@ from ulevels.terms import (
     Term,
     Univ,
     Var,
+    children,
 )
 
 
@@ -51,6 +54,7 @@ def U(n: int) -> Univ:
 
 OMEGA = Lvl(OmegaPlus(0))
 U_OMEGA = Univ(OMEGA)
+premises = attrgetter("premises")
 IDENT = Lam(Mty(), Var(0))
 LOOP = App(Lam(Mty(), App(Var(0), Var(0))), Lam(Mty(), App(Var(0), Var(0))))
 
@@ -173,13 +177,12 @@ def test_level_hops_share_the_inferred_variable_node():
     assert res.verdict is Verdict.ACCEPTED, res.message
     assert check_derivation(res.derivation).ok
     _, d_x = tc.infer(ctx, Var(1))
-    found, stack = [], [res.derivation]
-    while stack:
-        d = stack.pop()
-        if (d.rule, d.term) == ("Var", Var(1)):
-            found.append(d)
-        stack.extend(d.premises)
-    assert found and all(d is d_x for d in found)
+    found = [
+        d
+        for d in postorder(res.derivation, premises)
+        if (d.rule, d.term) == ("Var", Var(1))
+    ]
+    assert len(found) == 1 and found[0] is d_x
 
 
 def test_level_lt_check_walks_context_bounds():
@@ -710,18 +713,63 @@ def test_derivation_json_roundtrip():
     assert back == d
     assert domain is NAT_OMEGA
     assert check_derivation(back, domain).ok
-    assert len(distinct_nodes(back)) == len(doc["nodes"]) == len(distinct_nodes(d))
+    distinct = len(list(postorder(d, premises)))
+    assert len(list(postorder(back, premises))) == len(doc["nodes"]) == distinct
 
 
-def distinct_nodes(d: Derivation) -> dict[int, Derivation]:
-    seen: dict[int, Derivation] = {}
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node.premises)
-    return seen
+def trans_chain(depth: int) -> Derivation:
+    """``depth`` Trans nodes, each with the one below as both premises:
+    ``depth + 1`` distinct nodes, ``2 ** (depth + 1) - 1`` as a tree."""
+    d = Derivation("Nil", (), None, None)
+    for _ in range(depth):
+        d = Derivation("Trans", (), None, None, (d, d))
+    return d
+
+
+def test_postorder_walks_a_deep_chain_without_recursing():
+    d = trans_chain(5000)
+    nodes = list(postorder(d, premises))
+    assert len(nodes) == 5001 and nodes[0].rule == "Nil" and nodes[-1] is d
+    assert harness.rules_in(d) == {"Nil", "Trans"}
+    # Every part, the shared empty context among them, comes once.
+    assert len(list(postorder(d))) == 5002
+
+
+def test_postorder_yields_each_part_once_after_what_it_holds():
+    d = accepted((LevelLt(OMEGA), LevelLt(Var(0))), Var(0), LevelLt(OMEGA))
+    parts = list(postorder(d))
+
+    def key(part):
+        return id(part) if isinstance(part, Derivation) else part
+
+    position = {key(p): i for i, p in enumerate(parts)}
+    assert len(position) == len(parts)
+    for i, part in enumerate(parts):
+        if isinstance(part, Derivation):
+            held = (part.ctx, part.term, part.ty, *part.premises)
+        else:
+            held = part if type(part) is tuple else children(part)
+        assert all(position[key(h)] < i for h in held if h is not None)
+    doc = derivation_to_doc(d)
+    assert len(doc["nodes"]) == sum(isinstance(p, Derivation) for p in parts)
+    assert len(doc["ctxs"]) == sum(type(p) is tuple for p in parts)
+    assert len(doc["terms"]) == len(parts) - len(doc["nodes"]) - len(doc["ctxs"])
+
+
+def test_derivation_to_doc_writes_up_to_the_loader_bound():
+    # The writer spends no frame per level: a chain as deep as the loader
+    # reads is written and read back, and one level more is refused.
+    limit = sys.getrecursionlimit()
+    doc = derivation_to_doc(trans_chain(limit - 1))
+    assert len(doc["nodes"]) == limit
+    assert derivation_to_doc(*derivation_from_doc(doc)) == doc
+    with pytest.raises(RecursionError, match="derivation node nested deeper"):
+        derivation_to_doc(trans_chain(limit))
+    deep_term = Mty()
+    for _ in range(limit):
+        deep_term = Univ(deep_term)
+    with pytest.raises(RecursionError, match="term nested deeper"):
+        derivation_to_doc(Derivation("Mty", (), deep_term, None))
 
 
 def _small_doc():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ulevels.checker import check_derivation, derivation_from_doc
+from ulevels.checker import check_derivation, derivation_from_doc, derivation_to_doc
 from ulevels.cli import build_parser, run_cli
 from ulevels.surface import module_settings, parse, resolve_defs
 
@@ -246,6 +246,35 @@ def test_derive_corpus_writes_each_shared_node_once(tmp_path):
     assert digest.hexdigest() == (
         "937ca0a37c2532a1875c68ab6631d7fb865a5f08291d96553200b7840c59d7e1"
     )
+
+
+def level_chain(n: int) -> str:
+    """``def deep : Pi (x0 : Level< omega) (x1 : Level< x0) … . Level< omega
+    := fun … . x(n-1)``, whose derivation nests nodes 6n + 1 deep."""
+    binders = " ".join(
+        f"(x{i} : Level< {f'x{i - 1}' if i else 'omega'})" for i in range(n)
+    )
+    return f"def deep : Pi {binders} . Level< omega := fun {binders} . x{n - 1}\n"
+
+
+def test_derive_writes_what_check_accepts_up_to_the_loader_bound(tmp_path, capsys):
+    # 150 variables: nodes 901 deep, which the loader reads back.
+    path = write(tmp_path, level_chain(150))
+    out = tmp_path / "deep.json"
+    assert run_cli(["check", path]) == 0
+    assert run_cli(["derive", path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert derivation_to_doc(*derivation_from_doc(doc)) == doc
+    # 167 variables: nodes 1,003 deep, past the loader's bound at the
+    # default recursion limit; check accepts it, derive writes nothing.
+    capsys.readouterr()
+    path = write(tmp_path, level_chain(167), "deeper.ttbfl")
+    out = tmp_path / "deeper.json"
+    assert run_cli(["check", path]) == 0
+    assert run_cli(["derive", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_derive_rejected_definition(tmp_path, capsys):

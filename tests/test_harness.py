@@ -302,12 +302,34 @@ PINNED_SUMMARIES = {
 }
 
 
+# The share of cases using each rule in the coverage suite at the same
+# seed; a walk that misses a rule in some cases shows here.
+PINNED_COVERAGE = (
+    ("Nil", 1.0),
+    ("Cons", 0.925),
+    ("Var", 0.755),
+    ("Pi", 0.615),
+    ("Lam", 0.47),
+    ("App", 0.39),
+    ("Mty", 0.54),
+    ("Abs", 0.105),
+    ("Conv", 0.22),
+    ("Univ", 0.965),
+    ("LevelLt", 0.7),
+    ("Lvl", 1.0),
+    ("Trans", 0.095),
+    ("Cumul", 0.335),
+)
+
+
 def test_suite_digests_are_pinned():
     cfg = GenConfig(seed=7, cases=200)
     got = {}
     for name in SUITES:
         r = run_suite(name, cfg)
         got[name] = (r.digest, len(r.failures), r.undecided, r.fallbacks)
+        if name == "coverage":
+            assert r.coverage == PINNED_COVERAGE
     assert got == {name: (d, 0, 0, 0) for name, d in PINNED_SUMMARIES.items()}
 
 
