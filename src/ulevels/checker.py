@@ -21,6 +21,7 @@ out inside conversion). Rejections carry diagnostics.
 
 from __future__ import annotations
 
+import functools
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -29,7 +30,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
 
-from .levels import Finite, LevelDomain, NAT_OMEGA, OmegaPlus, domain_named
+from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
 from .node import Node
 from .reduction import (
     Convertibility,
@@ -663,6 +664,24 @@ class LevelOrder:
             node = nxt
 
 
+@functools.cache
+def _literal_type(domain: LevelDomain, v: LevelValue) -> LevelLt:
+    """The type the ``Lvl`` rule gives the literal ``v`` in ``domain``:
+    ``Level< j`` for the next level ``j`` above ``v``, which must be in
+    the domain too. One object per domain object and literal, shared by
+    every checker of that domain; a literal the domain cannot type
+    raises TypingError, which the cache never stores."""
+    if not domain.contains(v):
+        raise TypingError(f"level literal outside domain {domain.name}: {pretty(Lvl(v))}")
+    above = domain.next_above(v)
+    if not domain.contains(above):
+        raise TypingError(
+            f"level literal {pretty(Lvl(v))} has no level above it "
+            f"in domain {domain.name}"
+        )
+    return LevelLt(Lvl(above))
+
+
 def _trans(d_lo: Derivation, d_hi: Derivation) -> Derivation:
     """Transitivity: ``d_lo.term : Level< d_hi.ty.bound`` from ``d_lo``
     (``lo : Level< mid``) and ``d_hi`` (``mid : Level< hi``)."""
@@ -680,7 +699,11 @@ class TypeChecker:
     every successful inference and normal form, and the level order of
     every context it has seen, so judgments that share subterms should
     share one checker. Each cached value depends only on the domain, the
-    fuel and its key; failures are never cached.
+    fuel and its key; failures are never cached. The type of a level
+    literal is wider: it is kept per domain object (``_literal_type``)
+    and shared by every checker of that domain, so a domain variant must
+    be a domain object of its own; patching ``LevelDomain`` methods after
+    a literal has been typed does not reach its cached type.
     """
 
     def __init__(self, domain: LevelDomain = NAT_OMEGA, fuel: int = DEFAULT_FUEL):
@@ -690,6 +713,7 @@ class TypeChecker:
         self._infer_cache: dict[tuple[Context, Term], tuple[Term, Derivation]] = {}
         self._norm_cache: dict[Term, Term] = {}
         self._orders: dict[Context, LevelOrder] = {}
+        self._zero = Lvl(domain.zero())
 
     # -- small utilities
 
@@ -1020,14 +1044,10 @@ class TypeChecker:
                     ) from None
                 d = Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
             case Lvl(v):
-                if not self.domain.contains(v):
-                    raise TypingError(
-                        f"level literal outside domain {self.domain.name}: {pretty(t)}"
-                    )
-                d = self._edge_derivation(ctx, t, Lvl(self.domain.next_above(v)))
-                ty = d.ty
+                ty = _literal_type(self.domain, v)
+                d = Derivation("Lvl", ctx, t, ty, (self.ctx_derivation(ctx),))
             case Mty() | LevelLt():
-                d = self._type_at(ctx, t, Lvl(self.domain.zero()))
+                d = self._type_at(ctx, t, self._zero)
                 ty = d.ty
             case Pi(dom, cod):
                 k_dom, d_dom = self.infer_universe(ctx, dom)

@@ -9,6 +9,13 @@ same tier, so every level has one), the literal syntax (``0``, ``7``,
 ``name``, ``contains`` (which values of the space it admits) and
 ``sample``. Two are provided: ``NAT``, the naturals, and ``NAT_OMEGA``,
 which adds the tier ``omega, omega+1, ...``.
+
+The ``Lvl`` rule types a literal ``i`` as ``Level< j`` for
+``j = next_above(i)``, so a literal can be typed only if its successor
+is in the domain too; the checker rejects one at a domain's top. The
+checker keeps each literal's type per domain object, so a domain is
+identified by its object: a variant is a new object (a subclass
+instance), not an existing one with its methods patched.
 """
 
 from __future__ import annotations

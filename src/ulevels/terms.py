@@ -144,6 +144,10 @@ BINDS: dict[type, tuple[int, ...]] = {
 }
 
 
+# How many subterm fields each term class has, read by ``children``.
+_ARITY: dict[type, int] = {cls: len(binds) for cls, binds in BINDS.items()}
+
+
 def binders(term: Term) -> tuple[int, ...]:
     """The ``BINDS`` entry of ``term``; TypeError for a non-term."""
     try:
@@ -153,8 +157,12 @@ def binders(term: Term) -> tuple[int, ...]:
 
 
 def children(term: Term) -> tuple[Term, ...]:
-    """The subterm fields of ``term`` in field order; () for a leaf."""
-    return term[: len(binders(term))]
+    """The subterm fields of ``term`` in field order; () for a leaf.
+    TypeError for a non-term, as ``binders``."""
+    try:
+        return term[: _ARITY[type(term)]]
+    except KeyError:
+        raise TypeError(f"not a term: {term!r}") from None
 
 
 def is_value(term: Term) -> bool:

@@ -217,34 +217,91 @@ def test_climb_from_a_literal_yields_its_successors():
     assert climb == [Lvl(Finite(n)) for n in range(3, 4 + checker_mod.CLIMB_CAP)]
 
 
-def test_level_search_decides_at_a_literal(monkeypatch):
+@pytest.fixture
+def literal_infers(monkeypatch):
+    """The literals ``TypeChecker.infer`` is called on, cache hits
+    included: climbing past a literal infers it to read its bound."""
     calls = []
-    next_above = levels.LevelDomain.next_above
+    infer = TypeChecker.infer
 
-    def counted(self, value):
-        calls.append(value)
-        return next_above(self, value)
+    def counted(self, ctx, t):
+        if isinstance(t, Lvl):
+            calls.append(t)
+        return infer(self, ctx, t)
 
-    monkeypatch.setattr(levels.LevelDomain, "next_above", counted)
+    monkeypatch.setattr(TypeChecker, "infer", counted)
+    return calls
+
+
+def test_level_search_decides_at_a_literal(literal_infers):
     ctx = (LevelLt(Lvl(Finite(5))),)
     assert not TypeChecker().level_below(ctx, Lvl(Finite(0)), Var(0))
-    assert calls == []
+    assert literal_infers == []
 
 
-def test_join_skips_a_literal_climb_that_cannot_help(monkeypatch):
+def test_join_skips_a_literal_climb_that_cannot_help(literal_infers):
     # A finite literal never climbs to omega, so joining 3 with a
     # variable below omega climbs from the variable instead.
-    calls = []
-    next_above = levels.LevelDomain.next_above
-
-    def counted(self, value):
-        calls.append(value)
-        return next_above(self, value)
-
-    monkeypatch.setattr(levels.LevelDomain, "next_above", counted)
     ctx = (LevelLt(OMEGA),)
     assert TypeChecker()._join_levels(ctx, Lvl(Finite(3)), Var(0)) == OMEGA
-    assert len(calls) < 10
+    assert literal_infers == []
+
+
+class Fin4(levels.NatDomain):
+    """Test-only: the levels 0 to 3, with no level above 3."""
+
+    name = "fin4"
+
+    def contains(self, value):
+        return isinstance(value, Finite) and value.n < 4
+
+
+def test_a_literal_with_no_level_above_it_is_rejected():
+    tc = TypeChecker(Fin4())
+    with pytest.raises(TypingError, match="3 has no level above it in domain fin4"):
+        tc.infer((), Lvl(Finite(3)))
+    with pytest.raises(TypingError, match="no level above"):
+        tc.infer((), U(3))
+    # What the checker would claim otherwise, and the validator refutes.
+    claim = Derivation(
+        "Lvl", (), Lvl(Finite(3)), LevelLt(Lvl(Finite(4))),
+        (tc.ctx_derivation(()),),
+    )
+    assert "Lvl: level outside the domain" in check_derivation(claim, Fin4()).errors[0]
+
+
+def test_a_literal_below_the_top_still_types():
+    fin4 = Fin4()
+    tc = TypeChecker(fin4)
+    r = tc.check((), Lvl(Finite(2)), LevelLt(Lvl(Finite(3))))
+    assert r and check_derivation(r.derivation, fin4).ok
+    ty, d = tc.infer((), Lvl(Finite(2)))
+    assert ty == LevelLt(Lvl(Finite(3))) and check_derivation(d, fin4).ok
+
+
+def test_checkers_of_one_domain_share_literal_types():
+    (ty1, d1), (ty2, d2) = (TypeChecker(NAT).infer((), Lvl(Finite(5))) for _ in "ab")
+    assert ty1 is ty2
+    # Derivation nodes stay per checker.
+    assert d1 is not d2 and d1 == d2
+
+
+def test_each_domain_object_has_its_own_literal_types():
+    assert TypeChecker(NAT_OMEGA).infer((), OMEGA)[0] == LevelLt(Lvl(OmegaPlus(1)))
+    with pytest.raises(TypingError, match="outside domain nat"):
+        TypeChecker(NAT).infer((), OMEGA)
+    assert TypeChecker(NAT).infer((), Lvl(Finite(3)))[0] == LevelLt(Lvl(Finite(4)))
+    with pytest.raises(TypingError, match="no level above"):
+        TypeChecker(Fin4()).infer((), Lvl(Finite(3)))
+
+
+def test_a_rejected_literal_leaves_no_entry():
+    table = checker_mod._literal_type
+    before = table.cache_info().currsize
+    for t in (Lvl(Finite(3)), Lvl(Finite(9)), OMEGA):
+        with pytest.raises(TypingError):
+            TypeChecker(Fin4()).infer((), t)
+    assert table.cache_info().currsize == before
 
 
 def test_join_bisects_the_literal_tail(monkeypatch):

@@ -353,6 +353,16 @@ def test_nat_suite_digests_are_pinned():
     assert got == {name: (d, 0, 0, 0) for name, d in PINNED_NAT_SUMMARIES.items()}
 
 
+def test_the_literal_table_stays_small_over_the_suites():
+    # One entry per distinct literal a process types, whatever the case count.
+    table = checker_mod._literal_type
+    table.cache_clear()
+    for domain_name in DOMAINS:
+        for name in SUITES:
+            run_suite(name, GenConfig(seed=7, cases=200, domain_name=domain_name))
+    assert 0 < table.cache_info().currsize <= 40
+
+
 # A digest of the derivation trees the checker emits for 300 generated
 # cases in each shipped domain; a change to what it emits shows here.
 PINNED_DERIVATIONS = {"nat-omega": "99c06261a2db0cee", "nat": "50cbabf8781c0cd6"}
