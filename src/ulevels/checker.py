@@ -693,7 +693,9 @@ class TypeChecker:
 
     ``infer`` synthesizes a type; ``check`` pushes an expected type into
     introduction forms and otherwise subsumes the inferred type through
-    conversion, cumulativity, and bound transitivity.
+    conversion, cumulativity, and bound transitivity. Both dispatch on
+    the term's exact class, as ``terms.children`` does: a subclass of a
+    term class, or a non-term, raises TypeError.
 
     A checker is a cache scope: it keeps the derivation of every context,
     every successful inference and normal form, and the level order of
@@ -1034,61 +1036,71 @@ class TypeChecker:
         hit = self._infer_cache.get(key)
         if hit is not None:
             return hit
-        match t:
-            case Var(ix):
-                try:
-                    ty = subst.ctx_lookup(ctx, ix)
-                except IndexError:
-                    raise TypingError(
-                        f"unbound variable: index {ix} at depth {len(ctx)}"
-                    ) from None
-                d = Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
-            case Lvl(v):
-                ty = _literal_type(self.domain, v)
-                d = Derivation("Lvl", ctx, t, ty, (self.ctx_derivation(ctx),))
-            case Mty() | LevelLt():
-                d = self._type_at(ctx, t, self._zero)
-                ty = d.ty
-            case Pi(dom, cod):
-                k_dom, d_dom = self.infer_universe(ctx, dom)
-                ctx2 = subst.ctx_extend(ctx, dom)
-                k_cod, d_cod = self.infer_universe(ctx2, cod)
-                k_cod0 = self._strengthen_level(ctx2, k_cod)
-                k = self._join_levels(ctx, self._norm(k_dom), k_cod0)
-                d_dom2 = self._cumul_to(d_dom, k)
-                d_cod2 = self._cumul_to(d_cod, subst.shift(k, 1, 0))
-                ty = Univ(k)
-                d = Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
-            case Lam(ann, body):
-                _, d_ann = self.infer_universe(ctx, ann)
-                _, d_body = self.infer(subst.ctx_extend(ctx, ann), body)
-                d = self._lam(t, d_ann, d_body)
-                ty = d.ty
-            case App(fn, arg):
-                fn_ty, d_fn = self.infer(ctx, fn)
-                head = self._whnf(fn_ty)
-                if not isinstance(head, Pi):
-                    raise TypingError(
-                        f"application of a non-function: {pretty(fn)} "
-                        f"has type {pretty(fn_ty)}"
-                    )
-                d_fn2 = self._conv_to(d_fn, head)
-                d_arg = self._premise(ctx, arg, head.dom, "argument mismatch")
-                ty = subst.subst1(head.cod, arg)
-                d = Derivation("App", ctx, t, ty, (d_fn2, d_arg))
-            case Absurd(ann, scrut):
-                _, d_ann = self.infer_universe(ctx, ann)
-                d_scrut = self._premise(
-                    ctx, scrut, Mty(), "absurdity scrutinee is not a refutation"
+        # Dispatch on the exact class, the arms in the order they run
+        # most often in the metatheory suites.
+        cls = type(t)
+        if cls is Lvl:
+            (v,) = t
+            ty = _literal_type(self.domain, v)
+            d = Derivation("Lvl", ctx, t, ty, (self.ctx_derivation(ctx),))
+        elif cls is Univ:
+            (level,) = t
+            bound, d_level = self.infer_level(ctx, level)
+            ty = Univ(bound)
+            d = Derivation("Univ", ctx, t, ty, (d_level,))
+        elif cls is LevelLt or cls is Mty:
+            d = self._type_at(ctx, t, self._zero)
+            ty = d.ty
+        elif cls is Lam:
+            ann, body = t
+            _, d_ann = self.infer_universe(ctx, ann)
+            _, d_body = self.infer(subst.ctx_extend(ctx, ann), body)
+            d = self._lam(t, d_ann, d_body)
+            ty = d.ty
+        elif cls is Pi:
+            dom, cod = t
+            k_dom, d_dom = self.infer_universe(ctx, dom)
+            ctx2 = subst.ctx_extend(ctx, dom)
+            k_cod, d_cod = self.infer_universe(ctx2, cod)
+            k_cod0 = self._strengthen_level(ctx2, k_cod)
+            k = self._join_levels(ctx, self._norm(k_dom), k_cod0)
+            d_dom2 = self._cumul_to(d_dom, k)
+            d_cod2 = self._cumul_to(d_cod, subst.shift(k, 1, 0))
+            ty = Univ(k)
+            d = Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
+        elif cls is Var:
+            (ix,) = t
+            try:
+                ty = subst.ctx_lookup(ctx, ix)
+            except IndexError:
+                raise TypingError(
+                    f"unbound variable: index {ix} at depth {len(ctx)}"
+                ) from None
+            d = Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
+        elif cls is App:
+            fn, arg = t
+            fn_ty, d_fn = self.infer(ctx, fn)
+            head = self._whnf(fn_ty)
+            if type(head) is not Pi:
+                raise TypingError(
+                    f"application of a non-function: {pretty(fn)} "
+                    f"has type {pretty(fn_ty)}"
                 )
-                ty = ann
-                d = Derivation("Abs", ctx, t, ty, (d_ann, d_scrut))
-            case Univ(level):
-                bound, d_level = self.infer_level(ctx, level)
-                ty = Univ(bound)
-                d = Derivation("Univ", ctx, t, ty, (d_level,))
-            case _:
-                raise TypeError(f"Unexpected term in infer: {t!r}")
+            d_fn2 = self._conv_to(d_fn, head)
+            dom, cod = head
+            d_arg = self._premise(ctx, arg, dom, "argument mismatch")
+            ty = subst.subst1(cod, arg)
+            d = Derivation("App", ctx, t, ty, (d_fn2, d_arg))
+        elif cls is Absurd:
+            ann, scrut = t
+            _, d_ann = self.infer_universe(ctx, ann)
+            d_scrut = self._premise(
+                ctx, scrut, Mty(), "absurdity scrutinee is not a refutation"
+            )
+            ty = ann
+            d = Derivation("Abs", ctx, t, ty, (d_ann, d_scrut))
+        else:
+            raise TypeError(f"Unexpected term in infer: {t!r}")
         hit = self._infer_cache[key] = (ty, d)
         return hit
 
@@ -1102,39 +1114,52 @@ class TypeChecker:
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         head = self._whnf(expected)
-        match (t, head):
-            case (Lam(ann, body), Pi(dom, cod)):
-                if not self._conv(ann, dom):
-                    raise TypingError(
-                        f"domain annotation mismatch: {pretty(ann)} vs {pretty(dom)}"
-                    )
-                _, d_ann = self.infer_universe(ctx, ann)
-                d_body = self._check(subst.ctx_extend(ctx, ann), body, cod)
-                return self._conv_to(self._lam(t, d_ann, d_body), expected)
-            case (Pi(dom, cod), Univ(level)):
-                d_dom = self._check(ctx, dom, Univ(level))
+        cls, head_cls = type(t), type(head)
+        if head_cls is Univ:
+            (level,) = head
+            if cls is Univ:
+                (k,) = t
+                d_lt = self._check(ctx, k, LevelLt(level))
+                d = Derivation("Univ", ctx, t, head, (d_lt,))
+                return self._conv_to(d, expected)
+            if cls is LevelLt or cls is Mty:
+                return self._conv_to(self._type_at(ctx, t, level), expected)
+            if cls is Pi:
+                dom, cod = t
+                d_dom = self._check(ctx, dom, head)
                 ctx2 = subst.ctx_extend(ctx, dom)
                 lifted = Univ(subst.shift(level, 1, 0))
                 d_cod = self._check(ctx2, cod, lifted)
-                d = Derivation("Pi", ctx, t, Univ(level), (d_dom, d_cod))
+                d = Derivation("Pi", ctx, t, head, (d_dom, d_cod))
                 return self._conv_to(d, expected)
-            case (Mty() | LevelLt(), Univ(level)):
-                return self._conv_to(self._type_at(ctx, t, level), expected)
-            case (Univ(k), Univ(level)):
-                d_lt = self._check(ctx, k, LevelLt(level))
-                d = Derivation("Univ", ctx, t, Univ(level), (d_lt,))
-                return self._conv_to(d, expected)
-            case (Lvl(v), LevelLt(bound)):
-                nb = self._norm(bound)
-                if not isinstance(nb, Lvl):
-                    return self._subsume(ctx, t, expected)
-                if not self.domain.lt(v, nb.value):
+        elif cls is Lvl and head_cls is LevelLt:
+            (bound,) = head
+            nb = self._norm(bound)
+            if type(nb) is Lvl:
+                # The validator's Lvl rule needs both literals in the
+                # domain; ``_literal_type`` checks the subject's.
+                (v,), (b,) = t, nb
+                _literal_type(self.domain, v)
+                if not self.domain.contains(b):
+                    raise TypingError(
+                        f"level literal outside domain {self.domain.name}: {pretty(nb)}"
+                    )
+                if not self.domain.lt(v, b):
                     raise TypingError(
                         f"level bound fails: {pretty(t)} is not below {pretty(nb)}"
                     )
                 return self._conv_to(self._edge_derivation(ctx, t, nb), expected)
-            case _:
-                return self._subsume(ctx, t, expected)
+        elif cls is Lam and head_cls is Pi:
+            ann, body = t
+            dom, cod = head
+            if not self._conv(ann, dom):
+                raise TypingError(
+                    f"domain annotation mismatch: {pretty(ann)} vs {pretty(dom)}"
+                )
+            _, d_ann = self.infer_universe(ctx, ann)
+            d_body = self._check(subst.ctx_extend(ctx, ann), body, cod)
+            return self._conv_to(self._lam(t, d_ann, d_body), expected)
+        return self._subsume(ctx, t, expected)
 
     def _premise(self, ctx: Context, t: Term, expected: Term, what: str) -> Derivation:
         """``_check`` of a premise whose rejection names the premise."""
@@ -1151,20 +1176,22 @@ class TypeChecker:
             return self._conv_to(d, expected)
         n_actual = self._norm(actual)
         n_expected = self._norm(expected)
-        match (n_actual, n_expected):
-            case (Univ(_), Univ(target)):
-                d_at = self._conv_to(d, n_actual)
-                lifted = self._cumul_to(d_at, target)
-                return self._conv_to(lifted, expected)
-            case (LevelLt(lo), LevelLt(hi)):
+        cls = type(n_actual)
+        if cls is type(n_expected):
+            if cls is LevelLt:
                 # Parts of a normal form are normal.
+                ((lo,), (hi,)) = n_actual, n_expected
                 d_at = self._conv_to(d, n_actual)
                 d_hi = self._derive_level_below(ctx, lo, hi)
                 return self._conv_to(_trans(d_at, d_hi), expected)
-            case _:
-                raise TypingError(
-                    f"type mismatch: expected {pretty(expected)}, got {pretty(actual)}"
-                )
+            if cls is Univ:
+                (target,) = n_expected
+                d_at = self._conv_to(d, n_actual)
+                lifted = self._cumul_to(d_at, target)
+                return self._conv_to(lifted, expected)
+        raise TypingError(
+            f"type mismatch: expected {pretty(expected)}, got {pretty(actual)}"
+        )
 
     def check_context(self, ctx: Context) -> CheckResult:
         """The verdict on ``ctx`` as ``check`` gives one."""

@@ -14,6 +14,8 @@ instance-dict read, so hot loops unpack a node's fields at once
 The contract is that of a frozen dataclass:
 
 - two nodes are equal when they have the same class and equal fields;
+  equality tests identity first, so a node compared with itself
+  returns at once without comparing its fields;
 - the hash is the hash of the tuple of fields;
 - ``repr`` prints ``Name(field=value, ...)``;
 - fields cannot be assigned, and nodes cannot be ordered, concatenated
@@ -55,10 +57,12 @@ class Node(tuple):
     __hash__ = tuple.__hash__
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and tuple.__eq__(self, other)
+        return self is other or (type(self) is type(other) and tuple.__eq__(self, other))
 
     def __ne__(self, other: object) -> bool:
-        return type(self) is not type(other) or tuple.__ne__(self, other)
+        return self is not other and (
+            type(self) is not type(other) or tuple.__ne__(self, other)
+        )
 
     def __bool__(self) -> bool:
         return True

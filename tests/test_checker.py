@@ -304,6 +304,42 @@ def test_a_rejected_literal_leaves_no_entry():
     assert table.cache_info().currsize == before
 
 
+@pytest.mark.parametrize(
+    "domain, t, expected, message",
+    [
+        (NAT, OMEGA, LevelLt(Lvl(OmegaPlus(1))), "level literal outside domain nat: omega"),
+        (NAT, Lvl(Finite(0)), LevelLt(OMEGA), "level literal outside domain nat: omega"),
+        (Fin4(), Lvl(Finite(3)), LevelLt(Lvl(Finite(4))), "3 has no level above it"),
+        (Fin4(), U(3), U(4), "3 has no level above it"),
+    ],
+    ids=["omega<omega+1 in nat", "0<omega in nat", "3<4 in fin4", "U3:U4 in fin4"],
+)
+def test_a_checked_literal_must_be_in_the_domain(domain, t, expected, message):
+    # The validator's Lvl rule refutes each of these; check mode used to
+    # compare the two literals without asking the domain about either.
+    r = TypeChecker(domain).check((), t, expected)
+    assert r.verdict is Verdict.REJECTED and message in r.message
+
+
+class SubLvl(Lvl):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "t", [SubLvl(Finite(0)), Univ(SubLvl(Finite(0))), 0, "Bot"],
+    ids=["subclass", "subclass inside", "int", "str"],
+)
+def test_typing_dispatches_on_the_exact_class(t):
+    # As terms.children does; a class pattern would type SubLvl as Lvl.
+    with pytest.raises(TypeError):
+        TypeChecker().infer((), t)
+    with pytest.raises(TypeError):
+        TypeChecker().check((), t, U(5))
+    if isinstance(t, Lvl):
+        with pytest.raises(TypeError):
+            TypeChecker().check((), t, LevelLt(Lvl(Finite(5))))
+
+
 def test_join_bisects_the_literal_tail(monkeypatch):
     # Joining 3 with a variable below 60 finds 60 in the literal tail
     # 4, 5, ... of the climb from 3; the tail is bisected, not climbed.
