@@ -51,7 +51,6 @@ from .terms import (
     Term,
     Univ,
     Var,
-    alpha_equal,
     children,
     iter_subterms,
 )
@@ -621,10 +620,16 @@ class FuelError(TypingError):
     """Conversion or normalization ran out of fuel: undecided."""
 
 
+def _lvl_holds(domain: LevelDomain, i: LevelValue, j: LevelValue) -> bool:
+    """The side condition of the ``Lvl`` rule typing the literal ``i`` at
+    ``Level< j``, which only the domain can answer: both in it, ``i < j``."""
+    return domain.contains(i) and domain.contains(j) and domain.lt(i, j)
+
+
 class LevelOrder:
     """Reachability between normalized level terms along the bounds the
-    context declares. An entry x : Level< b contributes the edge
-    x -> normalize(b); concrete literals step to any larger literal.
+    context declares, compared by ``==``. A normalized entry x : Level< b
+    gives the edge x -> b; literals step as ``_lvl_holds`` allows.
 
     Paths witness chains of the transitivity rule. This is the last
     test the checker's one level search (``TypeChecker._level_trail``)
@@ -638,9 +643,7 @@ class LevelOrder:
         for ix in range(len(ctx)):
             entry, done = pars(subst.ctx_lookup(ctx, ix), fuel)
             if done and isinstance(entry, LevelLt):
-                bound, bdone = pars(entry.bound, fuel)
-                if bdone:
-                    self.edges[Var(ix)] = bound
+                self.edges[Var(ix)] = entry.bound
 
     def path(self, src: Term, dst: Term) -> list[Term] | None:
         """Nodes visited from ``src`` to ``dst`` inclusive, over at least
@@ -648,18 +651,19 @@ class LevelOrder:
         A node has at most one declared edge and a literal hop lands on
         ``dst``, so the search is a walk along one chain."""
         trail = [src]
-        seen = {src}
         node = src
+        # Only variables have edges, and a declared bound mentions only
+        # variables declared before its own, at larger indices: the walk
+        # moves strictly outward and stops within len(ctx) hops.
         while True:
             nxt = self.edges.get(node)
-            if nxt is not None and alpha_equal(nxt, dst):
+            if nxt is not None and nxt == dst:
                 return trail + [nxt]
             match (node, dst):
-                case (Lvl(a), Lvl(b)) if self.domain.lt(a, b):
+                case (Lvl(a), Lvl(b)) if _lvl_holds(self.domain, a, b):
                     return trail + [dst]
-            if nxt is None or nxt in seen:
+            if nxt is None:
                 return None
-            seen.add(nxt)
             trail.append(nxt)
             node = nxt
 
@@ -695,7 +699,7 @@ class TypeChecker:
     introduction forms and otherwise subsumes the inferred type through
     conversion, cumulativity, and bound transitivity. Both dispatch on
     the term's exact class, as ``terms.children`` does: a subclass of a
-    term class, or a non-term, raises TypeError.
+    term class, or a non-term, raises TypeError. Terms compare by ``==``.
 
     A checker is a cache scope: it keeps the derivation of every context,
     every successful inference and normal form, and the level order of
@@ -774,8 +778,8 @@ class TypeChecker:
     # -- derivation post-processing
 
     def _conv_to(self, d: Derivation, target: Term) -> Derivation:
-        """Reuse ``d`` at a convertible type, inserting Conv if needed."""
-        if alpha_equal(d.ty, target):
+        """Reuse ``d`` at a convertible type, inserting Conv unless ``==``."""
+        if d.ty == target:
             return d
         if not self._conv(d.ty, target):
             raise TypingError(
@@ -792,15 +796,24 @@ class TypeChecker:
 
     # -- level machinery
 
+    def _infer_head(
+        self, ctx: Context, t: Term, head: type, what: str
+    ) -> tuple[Term, Derivation]:
+        """Type ``t`` at a ``Univ`` or ``LevelLt`` (``head``): its field, and
+        the derivation."""
+        ty, d = self.infer(ctx, t)
+        if not isinstance(ty, head):
+            n = self._whnf(ty)
+            if not isinstance(n, head):
+                raise TypingError(
+                    f"not a {what}: {pretty(t)} has type {pretty(ty)}"
+                )
+            ty, d = n, self._conv_to(d, n)
+        return ty[0], d
+
     def infer_level(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Type ``t`` as a level: a derivation of t : Level< bound."""
-        ty, d = self.infer(ctx, t)
-        if isinstance(ty, LevelLt):
-            return ty.bound, d
-        n = self._whnf(ty)
-        if isinstance(n, LevelLt):
-            return n.bound, self._conv_to(d, n)
-        raise TypingError(f"not a level: {pretty(t)} has type {pretty(ty)}")
+        return self._infer_head(ctx, t, LevelLt, "level")
 
     def _bound_typing(self, ctx: Context, t: Term) -> Term | None:
         """A bound strictly above the level term ``t``, if one can be
@@ -849,11 +862,11 @@ class TypeChecker:
 
         At each level of ``_climb(ctx, a)`` it tries, in order: (below
         the first level) whether the level is ``b``; whether both are
-        literals in order; a ``LevelOrder`` path to ``b``. The answer is
-        the levels climbed and the hops of the decision that ended the
-        search, or None for the hops when the last level climbed is
-        ``b``. A literal's bounds are only larger literals, so the search
-        decides at the first literal it meets."""
+        literals ``_lvl_holds`` orders; a ``LevelOrder`` path to ``b``.
+        The answer is the levels climbed and the hops of the decision
+        that ended the search, or None for the hops when the last level
+        climbed is ``b``. A literal's bounds are only larger literals, so
+        the search decides at the first literal it meets."""
         nb = self._norm(b)
         levels: list[Term] = []
         for cur in self._climb(ctx, a):
@@ -862,7 +875,7 @@ class TypeChecker:
                 return levels + [cur], None
             levels.append(cur)
             if isinstance(cur, Lvl):
-                if isinstance(nb, Lvl) and self.domain.lt(cur.value, nb.value):
+                if isinstance(nb, Lvl) and _lvl_holds(self.domain, cur.value, nb.value):
                     return levels, [cur, nb]
                 return None
             hops = self._order(ctx).path(cur, nb)
@@ -891,13 +904,7 @@ class TypeChecker:
         TypingError when the search finds nothing."""
         trail = self._level_trail(ctx, a, b)
         if trail is None:
-            if isinstance(a, Lvl) and isinstance(b, Lvl):
-                raise TypingError(
-                    f"level bound fails: {pretty(a)} is not below {pretty(b)}"
-                )
-            raise TypingError(
-                f"level bound not established: {pretty(a)} below {pretty(b)}"
-            )
+            raise self._not_below(a, b)
         levels, hops = trail
         climbs = [
             self._conv_to(self.infer_level(ctx, lo)[1], LevelLt(hi))
@@ -912,6 +919,16 @@ class TypeChecker:
         for d_lo in reversed(climbs):
             d = _trans(d_lo, d)
         return d
+
+    def _not_below(self, a: Term, b: Term) -> TypingError:
+        """Why ``a : Level< b`` has no derivation, a bound outside the domain first."""
+        if isinstance(b, Lvl) and not self.domain.contains(b.value):
+            why = f"level literal outside domain {self.domain.name}: {pretty(b)}"
+        elif isinstance(a, Lvl) and isinstance(b, Lvl):
+            why = f"level bound fails: {pretty(a)} is not below {pretty(b)}"
+        else:
+            why = f"level bound not established: {pretty(a)} below {pretty(b)}"
+        return TypingError(why)
 
     def _cumul_to(self, d: Derivation, target_level: Term) -> Derivation:
         """Lift d : A : U k to A : U target_level."""
@@ -1016,13 +1033,7 @@ class TypeChecker:
 
     def infer_universe(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Type ``t`` as a type: a derivation of t : U k."""
-        ty, d = self.infer(ctx, t)
-        if isinstance(ty, Univ):
-            return ty.level, d
-        n = self._whnf(ty)
-        if isinstance(n, Univ):
-            return n.level, self._conv_to(d, n)
-        raise TypingError(f"not a type: {pretty(t)} has type {pretty(ty)}")
+        return self._infer_head(ctx, t, Univ, "type")
 
     def infer(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Synthesize a type and its derivation. Raises TypingError on
@@ -1136,18 +1147,12 @@ class TypeChecker:
             (bound,) = head
             nb = self._norm(bound)
             if type(nb) is Lvl:
-                # The validator's Lvl rule needs both literals in the
-                # domain; ``_literal_type`` checks the subject's.
+                # ``_literal_type`` rejects a subject the domain cannot
+                # type; ``_lvl_holds`` is the Lvl rule's side condition.
                 (v,), (b,) = t, nb
                 _literal_type(self.domain, v)
-                if not self.domain.contains(b):
-                    raise TypingError(
-                        f"level literal outside domain {self.domain.name}: {pretty(nb)}"
-                    )
-                if not self.domain.lt(v, b):
-                    raise TypingError(
-                        f"level bound fails: {pretty(t)} is not below {pretty(nb)}"
-                    )
+                if not _lvl_holds(self.domain, v, b):
+                    raise self._not_below(t, nb)
                 return self._conv_to(self._edge_derivation(ctx, t, nb), expected)
         elif cls is Lam and head_cls is Pi:
             ann, body = t
@@ -1304,7 +1309,7 @@ def elaborate_lam_prime(
     d_dom = core.premises[0]
     if d_body.ctx != subst.ctx_extend(core.ctx, dom):
         raise TypingError("body judgment context does not extend the domain")
-    if not alpha_equal(d_body.ty, cod):
+    if d_body.ty != cod:
         raise TypingError(
             f"body type {pretty(d_body.ty)} differs from the codomain {pretty(cod)}"
         )

@@ -19,7 +19,6 @@ from .terms import (
     App,
     Lam,
     Term,
-    alpha_equal,
     children,
     is_value,
 )
@@ -208,7 +207,7 @@ def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL) -> Convertibility:
     """Joinability of ``a`` and ``b``. Each side gets the full fuel."""
     na, done_a = pars(a, fuel)
     nb, done_b = pars(b, fuel)
-    if alpha_equal(na, nb):
+    if na == nb:
         return Convertibility.YES
     if done_a and done_b:
         return Convertibility.NO

@@ -3,7 +3,8 @@
 Binders (``Pi``, ``Lam``) carry no names; ``Var(0)`` is the innermost
 binding. Contexts are tuples of types, innermost entry last; an entry is
 stated in the context prefix to its left, so lookups must shift (see the
-substitution module).
+substitution module). With no names to rename, alpha-equivalence is
+plain equality: terms are compared with ``==``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "binders",
     "children",
     "is_value",
-    "alpha_equal",
     "term_size",
     "iter_subterms",
 ]
@@ -168,11 +168,6 @@ def children(term: Term) -> tuple[Term, ...]:
 def is_value(term: Term) -> bool:
     """Weak-head values: every introduction and type former."""
     return isinstance(term, (Lvl, Pi, Lam, Mty, Univ, LevelLt))
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Alpha equivalence; with de Bruijn syntax this is plain equality."""
-    return a == b
 
 
 def term_size(term: Term) -> int:

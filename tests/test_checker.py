@@ -321,6 +321,40 @@ def test_a_checked_literal_must_be_in_the_domain(domain, t, expected, message):
     assert r.verdict is Verdict.REJECTED and message in r.message
 
 
+@pytest.mark.parametrize(
+    "ctx, expected",
+    [((LevelLt(Lvl(Finite(3))),), LevelLt(OMEGA)), ((U(3),), U_OMEGA)],
+    ids=["x<3 : Level< omega", "A : U 3 in U omega"],
+)
+def test_a_bound_outside_the_domain_is_rejected(ctx, expected):
+    # The level search reaches the literal 3 and asks the Lvl rule's side
+    # condition, which needs the bound in the domain too.
+    message = rejected(ctx, Var(0), expected, NAT)
+    assert message == "level literal outside domain nat: omega"
+    accepted(ctx, Var(0), expected, NAT_OMEGA)
+
+
+def test_level_lt_check_asks_the_domain_about_the_bound():
+    ctx = (LevelLt(Lvl(Finite(3))),)
+    assert not level_lt_check(ctx, Var(0), OMEGA, NAT)
+    assert level_lt_check(ctx, Var(0), OMEGA, NAT_OMEGA)
+
+
+def test_what_nat_accepts_of_nat_omega_cases_validates():
+    # Cases drawn in nat-omega may mention omega, which nat cannot parse,
+    # so only the API brings them to a nat checker; whatever it accepts,
+    # the validator must confirm in nat.
+    verdicts = {True: 0, False: 0}
+    for seed in range(400):
+        case = harness.gen_case(harness.GenConfig(seed=seed), 0)
+        r = TypeChecker(NAT).check(case.ctx, case.term, case.ty)
+        if r:
+            report = check_derivation(r.derivation, NAT)
+            assert report.ok, (seed, report.errors)
+        verdicts[bool(r)] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
 class SubLvl(Lvl):
     __slots__ = ()
 
@@ -447,6 +481,8 @@ def test_level_below_iff_derivation_validates(domain):
         ctx = harness.gen_context(random.Random(seed), domain)
         tc = TypeChecker(domain)
         points = {zero, Lvl(domain.next_above(zero.value))}
+        if not domain.contains(OMEGA.value):
+            points.add(OMEGA)  # a level outside the domain
         for ix in range(len(ctx)):
             entry = subst.ctx_lookup(ctx, ix)
             if isinstance(entry, LevelLt):
@@ -586,6 +622,65 @@ def test_conv_still_runs_out_of_fuel_on_distinct_sides():
     with pytest.raises(FuelError):
         tc._conv(LOOP, Mty())
     assert convertible(LOOP, Mty(), 5) is Convertibility.UNDECIDED
+
+
+def _beta(ann: Term, arg: Term) -> Term:
+    """``(fun (x : ann) . x) arg``: one step from ``arg``, and not a head."""
+    return App(Lam(ann, Var(0)), arg)
+
+
+def test_a_type_that_only_head_normalizes_to_a_head():
+    tc = TypeChecker()
+    # x : (fun (A : U 0) . A) (Level< 5), so U x : U 5 through the head
+    # normal form of x's type.
+    ty, d = tc.infer((_beta(U(0), LevelLt(Lvl(Finite(5)))),), Univ(Var(0)))
+    assert ty == U(5)
+    assert check_derivation(d).ok
+    # A : (fun (B : U 2) . B) (U 1) types as a type through a Conv node.
+    k, d = tc.infer_universe((_beta(U(2), U(1)),), Var(0))
+    assert (k, d.rule, d.ty) == (Lvl(Finite(1)), "Conv", U(1))
+    assert check_derivation(d).ok
+
+
+# Judgments whose types reach a head form within one step of fuel but
+# a normal form only in two: the validator's Conv rule compares normal
+# forms, so at fuel 1 it leaves the conversion to the head undecided.
+_G = Lam(U(0), Var(0))
+HEAD_WITHIN_FUEL = {
+    # f : (fun (g : U 0 -> U 0) . g Bot -> g Bot) (fun (x : U 0) . x),
+    # p : Bot; f p, at the head form of f's type.
+    "application": (
+        (
+            Mty(),
+            App(Lam(Pi(U(0), U(0)), Pi(App(Var(0), Mty()), App(Var(1), Mty()))), _G),
+        ),
+        App(Var(0), Var(1)),
+        _beta(U(0), Mty()),
+    ),
+    # U 0 against (fun (g : Level< 5 -> Level< 5) . U (g 1)) (fun (x :
+    # Level< 5) . x), whose head form U ((fun x . x) 1) is one step away.
+    "checked universe": (
+        (),
+        U(0),
+        App(
+            Lam(Pi(LevelLt(Lvl(Finite(5))), LevelLt(Lvl(Finite(5)))),
+                Univ(App(Var(0), Lvl(Finite(1))))),
+            Lam(LevelLt(Lvl(Finite(5))), Var(0)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "ctx, t, ty", HEAD_WITHIN_FUEL.values(), ids=HEAD_WITHIN_FUEL.keys()
+)
+def test_a_head_form_conversion_is_decided_within_the_fuel(ctx, t, ty):
+    d = accepted(ctx, t, ty)
+    errors = check_derivation(d, fuel=1).errors
+    undecided = "Conv: conversion undecided within fuel"
+    assert any(e.endswith(undecided) for e in errors), errors
+    res = check(ctx, t, ty, fuel=1)
+    assert res.verdict is Verdict.UNDECIDED, res
 
 
 def test_annotated_absurd_universe_is_accepted():
