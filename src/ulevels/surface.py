@@ -74,26 +74,31 @@ class SurfaceError(ValueError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-KEYWORDS = {"def", "Pi", "fun", "Bot", "absurd", "U"}
-
+# One match per token, after the blanks before it. No token spans a line,
+# so ``lex`` scans each line on its own, with its trailing blanks cut off:
+# a comment runs to the end of the line and is the one match that has no
+# group; ``bad`` is the first character no token matches.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<nl>\n)
-  | (?P<comment>--[^\n]*)
-  | (?P<pragma>\#(?:domain|fuel|fail))
-  | (?P<coloneq>:=)
-  | (?P<arrow>->)
-  | (?P<levellt>Level<)
-  | (?P<level>omega\+[1-9][0-9]*|omega(?![A-Za-z0-9_'])|0(?![0-9])|[1-9][0-9]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<colon>:)
-  | (?P<dot>\.)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<lbrack>\[)
-  | (?P<rbrack>\])
-  | (?P<minus>-)
+    [ \t\r]*
+    (?:
+        --.*
+      | (?P<pragma>\#(?:domain|fuel|fail))
+      | (?P<coloneq>:=)
+      | (?P<arrow>->)
+      | (?P<levellt>Level<)
+      | (?P<level>omega\+[1-9][0-9]*|omega(?![A-Za-z0-9_'])|0(?![0-9])|[1-9][0-9]*)
+      | (?P<kw>(?:def|Pi|fun|Bot|absurd|U)(?![A-Za-z0-9_']))
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<colon>:)
+      | (?P<dot>\.)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<lbrack>\[)
+      | (?P<rbrack>\])
+      | (?P<minus>-)
+      | (?P<bad>[^ \t\r])
+    )
 """,
     re.VERBOSE,
 )
@@ -108,25 +113,25 @@ class Token(Node):
 
 
 def lex(source: str) -> list[Token]:
+    """The tokens of ``source``, ending with an ``eof`` token on the last
+    line. Lines are separated by ``\\n`` alone; no token spans a line;
+    blanks (space, tab, carriage return) and ``--`` comments are skipped.
+    The first character no token matches raises :class:`SurfaceError`
+    naming it and its line."""
     out: list[Token] = []
-    pos = 0
-    line = 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise SurfaceError(f"unexpected character {source[pos]!r}", line)
-        kind = m.lastgroup
-        text = m.group()
-        pos = m.end()
-        if kind == "nl":
-            line += 1
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "ident" and text in KEYWORDS:
-            kind = "kw"
-        out.append(Token(kind, text, line))
-    out.append(Token("eof", "", line))
+    append = out.append
+    # Builds a Token without calling ``Token.__new__`` for each token.
+    new = tuple.__new__
+    finditer = _TOKEN_RE.finditer
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in finditer(text.rstrip(" \t\r")):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            if kind == "bad":
+                raise SurfaceError(f"unexpected character {m[kind]!r}", line)
+            append(new(Token, (kind, m[kind], line)))
+    append(new(Token, ("eof", "", line)))
     return out
 
 
@@ -149,6 +154,12 @@ class Module:
     defs: tuple[SurfaceDef, ...]
 
 
+# The tokens that can start an atom, and so another argument of an
+# application.
+_ATOM_KINDS = frozenset({"ident", "level", "lparen", "levellt"})
+_ATOM_KEYWORDS = frozenset({"U", "Bot", "absurd"})
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -163,31 +174,33 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             raise SurfaceError(
                 f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}",
                 tok.line,
             )
-        return self.next()
+        self.pos += 1
+        return tok
 
-    # -- expressions
+    # -- expressions: each reads the token at ``self.pos`` in place, as
+    # ``(kind, text, line)``, instead of a method call per token.
 
     def expr(self) -> tuple:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("Pi", "fun"):
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "kw" and text in ("Pi", "fun"):
             return self.binder_expr()
         lhs = self.app()
-        if self.peek().kind == "arrow":
-            self.next()
+        if self.tokens[self.pos][0] == "arrow":
+            self.pos += 1
             return ("arrow", lhs, self.expr())
         return lhs
 
     def binder_expr(self) -> tuple:
         head = self.next()
         groups: list[tuple[str, tuple]] = []
-        while self.peek().kind == "lparen":
-            self.next()
+        while self.tokens[self.pos][0] == "lparen":
+            self.pos += 1
             name = self.expect("ident", "a binder name")
             self.expect("colon", "':'")
             ty = self.expr()
@@ -202,40 +215,39 @@ class _Parser:
 
     def app(self) -> tuple:
         node = self.atom()
-        while self._starts_atom():
-            node = ("app", node, self.atom())
-        return node
-
-    def _starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "kw":
-            return tok.text in ("Bot", "absurd", "U")
-        return tok.kind in ("levellt", "level", "ident", "lparen")
+        tokens = self.tokens
+        while True:
+            kind, text, _ = tokens[self.pos]
+            if kind in _ATOM_KINDS or (kind == "kw" and text in _ATOM_KEYWORDS):
+                node = ("app", node, self.atom())
+            else:
+                return node
 
     def atom(self) -> tuple:
-        tok = self.next()
-        if tok.kind == "kw" and tok.text == "U":
-            return ("u", self.atom())
-        if tok.kind == "levellt":
-            return ("lt", self.atom())
-        if tok.kind == "kw" and tok.text == "Bot":
-            return ("bot",)
-        if tok.kind == "kw" and tok.text == "absurd":
-            self.expect("lbrack", "'[' after absurd")
-            ty = self.expr()
-            self.expect("rbrack", "']'")
-            return ("absurd", ty, self.atom())
-        if tok.kind == "level":
-            return ("level", tok.text, tok.line)
-        if tok.kind == "ident":
-            return ("var", tok.text, tok.line)
-        if tok.kind == "lparen":
+        kind, text, line = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "ident":
+            return ("var", text, line)
+        if kind == "level":
+            return ("level", text, line)
+        if kind == "lparen":
             inner = self.expr()
             self.expect("rparen", "')'")
             return inner
+        if kind == "levellt":
+            return ("lt", self.atom())
+        if kind == "kw":
+            if text == "U":
+                return ("u", self.atom())
+            if text == "Bot":
+                return ("bot",)
+            if text == "absurd":
+                self.expect("lbrack", "'[' after absurd")
+                ty = self.expr()
+                self.expect("rbrack", "']'")
+                return ("absurd", ty, self.atom())
         raise SurfaceError(
-            f"expected a term, found {tok.text!r}" if tok.text else "expected a term",
-            tok.line,
+            f"expected a term, found {text!r}" if text else "expected a term", line
         )
 
     # -- module structure
@@ -329,53 +341,103 @@ def resolve(
     defs: dict[str, Term] | None = None,
     domain: LevelDomain = NAT_OMEGA,
 ) -> Term:
-    defs = defs or {}
-    match node:
-        case ("var", name, line):
-            for ix, bound in enumerate(stack):
-                if bound == name:
-                    return Var(ix)
-            if name in defs:
-                return defs[name]
-            raise SurfaceError(f"unknown identifier: {name}", line)
-        case ("level", text, line):
-            try:
-                return Lvl(domain.parse_literal(text))
-            except LevelSyntaxError as e:
-                raise SurfaceError(str(e), line) from None
-        case ("bot",):
-            return Mty()
-        case ("u", inner):
-            return Univ(resolve(inner, stack, defs, domain))
-        case ("lt", inner):
-            return LevelLt(resolve(inner, stack, defs, domain))
-        case ("absurd", ty, scrut):
-            return Absurd(
-                resolve(ty, stack, defs, domain),
-                resolve(scrut, stack, defs, domain),
-            )
-        case ("app", fn, arg):
-            return App(
-                resolve(fn, stack, defs, domain),
-                resolve(arg, stack, defs, domain),
-            )
-        case ("arrow", lhs, rhs):
-            return Pi(
-                resolve(lhs, stack, defs, domain),
-                resolve(rhs, (None,) + stack, defs, domain),
-            )
-        case ("pi", groups, body) | ("fun", groups, body):
-            ctor = Pi if node[0] == "pi" else Lam
-            def build(i: int, inner_stack: tuple) -> Term:
-                if i == len(groups):
-                    return resolve(body, inner_stack, defs, domain)
-                name, ty = groups[i]
-                return ctor(
-                    resolve(ty, inner_stack, defs, domain),
-                    build(i + 1, (name,) + inner_stack),
-                )
-            return build(0, stack)
+    """The core term of the surface tree ``node``. A name bound in
+    ``stack`` (innermost first) becomes its de Bruijn index, any other
+    name the term ``defs`` gives it; literals are read in ``domain``."""
+    return _ARMS.get(node[0], _malformed)(node, stack, defs or {}, domain)
+
+
+# One arm per tag of the trees ``_Parser`` builds, each called with the
+# arguments of ``resolve``. An arm resolves a subtree by calling that
+# subtree's arm itself, so a tree nested n deep takes n frames.
+
+
+def _var(node, stack, defs, domain) -> Term:
+    _, name, line = node
+    if name in stack:
+        return Var(stack.index(name))
+    if name in defs:
+        return defs[name]
+    raise SurfaceError(f"unknown identifier: {name}", line)
+
+
+def _level(node, stack, defs, domain) -> Term:
+    _, text, line = node
+    try:
+        return Lvl(domain.parse_literal(text))
+    except LevelSyntaxError as e:
+        raise SurfaceError(str(e), line) from None
+
+
+def _bot(node, stack, defs, domain) -> Term:
+    return Mty()
+
+
+def _univ(node, stack, defs, domain) -> Term:
+    _, inner = node
+    return Univ(_ARMS.get(inner[0], _malformed)(inner, stack, defs, domain))
+
+
+def _level_lt(node, stack, defs, domain) -> Term:
+    _, inner = node
+    return LevelLt(_ARMS.get(inner[0], _malformed)(inner, stack, defs, domain))
+
+
+def _absurd(node, stack, defs, domain) -> Term:
+    _, ty, scrut = node
+    return Absurd(
+        _ARMS.get(ty[0], _malformed)(ty, stack, defs, domain),
+        _ARMS.get(scrut[0], _malformed)(scrut, stack, defs, domain),
+    )
+
+
+def _app(node, stack, defs, domain) -> Term:
+    _, fn, arg = node
+    return App(
+        _ARMS.get(fn[0], _malformed)(fn, stack, defs, domain),
+        _ARMS.get(arg[0], _malformed)(arg, stack, defs, domain),
+    )
+
+
+def _arrow(node, stack, defs, domain) -> Term:
+    _, lhs, rhs = node
+    return Pi(
+        _ARMS.get(lhs[0], _malformed)(lhs, stack, defs, domain),
+        _ARMS.get(rhs[0], _malformed)(rhs, (None,) + stack, defs, domain),
+    )
+
+
+def _binders(node, stack, defs, domain) -> Term:
+    # ``Pi (x : A) (y : B) . C`` is ``Pi (x : A) . Pi (y : B) . C``: each
+    # group's type sees the names bound before it, the body sees them all.
+    tag, groups, body = node
+    ctor = Pi if tag == "pi" else Lam
+    doms = []
+    for name, ty in groups:
+        doms.append(_ARMS.get(ty[0], _malformed)(ty, stack, defs, domain))
+        stack = (name,) + stack
+    term = _ARMS.get(body[0], _malformed)(body, stack, defs, domain)
+    for dom in reversed(doms):
+        term = ctor(dom, term)
+    return term
+
+
+def _malformed(node, stack, defs, domain) -> Term:
     raise SurfaceError(f"malformed surface tree: {node!r}")
+
+
+_ARMS = {
+    "var": _var,
+    "level": _level,
+    "bot": _bot,
+    "u": _univ,
+    "lt": _level_lt,
+    "absurd": _absurd,
+    "app": _app,
+    "arrow": _arrow,
+    "pi": _binders,
+    "fun": _binders,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from ulevels import cli
 from ulevels.checker import check_derivation, derivation_from_doc, derivation_to_doc
 from ulevels.cli import build_parser, run_cli
+from ulevels.reduction import EvalOutcome
 from ulevels.surface import module_settings, parse, resolve_defs
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -188,6 +190,36 @@ def test_reduce_fuel_exhaustion(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "fuel exhausted" in captured.err
+
+
+NESTED_IDS = (
+    "def idU : U 1 -> U 1 := fun (x : U 1) . x\n"
+    "def twice : U 1 := idU (idU (U 0))\n"
+)
+
+
+def test_eval_fuel_exhaustion(tmp_path, capsys):
+    # Checking needs no reduction, so ``twice`` checks at fuel 1; its
+    # call-by-name evaluation needs two beta steps.
+    path = write(tmp_path, NESTED_IDS)
+    assert run_cli(["check", path, "--fuel", "1"]) == 0
+    capsys.readouterr()
+    assert run_cli(["eval", path, "twice", "--fuel", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "(fun (x : U 1) . x) (U 0)\n"
+    assert captured.err == "error: fuel exhausted before a value\n"
+    assert run_cli(["eval", path, "twice", "--fuel", "2"]) == 0
+    assert capsys.readouterr().out == "U 0\n"
+
+
+def test_eval_reports_a_stuck_term(tmp_path, capsys, monkeypatch):
+    # Progress: no closed well-typed term gets stuck, so the exit code
+    # is pinned with an evaluator that says it did.
+    monkeypatch.setattr(cli, "cbn_eval", lambda body, fuel: (body, EvalOutcome.STUCK))
+    assert run_cli(["eval", write(tmp_path, NESTED_IDS), "twice"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "(fun (x : U 1) . x) ((fun (x : U 1) . x) (U 0))\n"
+    assert captured.err == "error: twice got stuck\n"
 
 
 def test_eval_rejects_ill_typed_target(tmp_path, capsys):

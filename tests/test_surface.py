@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
-
-from pathlib import Path
 
 from ulevels.checker import Verdict, check
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
@@ -35,7 +36,10 @@ from ulevels.terms import (
     Var,
 )
 
+import lex_oracle
 from gen import terms
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def rt(source: str, domain=NAT_OMEGA):
@@ -72,6 +76,88 @@ def test_lex_rejects_leading_zero_numerals():
 def test_lex_rejects_stray_characters():
     with pytest.raises(SurfaceError):
         lex("def a : U 0 := %")
+
+
+def lex_outcome(lexer, source: str):
+    """The tokens ``lexer`` returns, or the message and line of the
+    ``SurfaceError`` it raises."""
+    try:
+        return lexer(source)
+    except SurfaceError as e:
+        return ("error", str(e), e.line)
+
+
+def assert_lexes_as_oracle(source: str) -> None:
+    assert lex_outcome(lex, source) == lex_outcome(lex_oracle.lex, source), repr(source)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ttbfl")), ids=lambda p: p.stem)
+def test_lex_matches_the_oracle_on_the_corpus(path):
+    source = path.read_text(encoding="utf-8")
+    assert lex(source) == lex_oracle.lex(source)
+    assert_lexes_as_oracle(source.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "",
+        "\n",
+        "\r\n",
+        "def a : U 0 := Bot\r\ndef b : U 0 := Bot\r\n",
+        "def\ta\t:\tU 0\t:=\tBot",
+        "\t  \t",
+        "def a : U 0 := Bot -- no newline at the end",
+        "--",
+        "-- only a comment",
+        "a --> b",
+        "a -> b",
+        "a - - b",
+        "- -",
+        "-",
+        "->",
+        "omega+1",
+        "omega+0",
+        "omega+",
+        "omega+01",
+        "omegax omega' omega_ omega1",
+        "Level<0 Level< Level",
+        "#domain nat-omega #fuel 10 #fail",
+        "#dom",
+        "007",
+        "0 00",
+        "%def a",
+        "def % a",
+        "def a %",
+        "def a %   ",
+        "ok\n  ok\n\t%",
+        "a\rb",
+        "a\x0bb",
+        "a\xa0b",
+        "a\u2028b",
+        "λ",
+        "\r",
+        "x\n\n\ny",
+    ],
+)
+def test_lex_matches_the_oracle_on_edge_cases(source):
+    assert_lexes_as_oracle(source)
+
+
+_SOUP = (
+    "def", "Pi", "fun", "Bot", "absurd", "U", "Level<", "Level", "<",
+    "omega", "omega+", "omega+3", "0", "07", "42", "x", "x'", "_y", "defx",
+    ":", ":=", "=", "->", "-", "--", "-->", ".", "(", ")", "[", "]", "#",
+    "#fuel", "#domain", "#fail", "+", "%", "λ", "\x0b", " ", "  ", "\t",
+    "\r", "\n", "\r\n", "-- note", "\u2028",
+)
+
+
+def test_lex_matches_the_oracle_on_token_soup():
+    for seed in range(400):
+        rng = random.Random(f"lex-soup/{seed}")
+        source = "".join(rng.choice(_SOUP) for _ in range(rng.randrange(1, 40)))
+        assert_lexes_as_oracle(source)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +293,6 @@ def test_failed_definitions_are_not_usable_later():
         check_module(mod)
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # Rejected and #fail definitions between accepted ones that inline
 # earlier definitions.

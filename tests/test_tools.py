@@ -8,6 +8,7 @@ in a subprocess of its own.
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AB_SUITES = ROOT / "tools" / "ab_suites.py"
 LINECOV = ROOT / "tools" / "linecov.py"
+IGNORE = shutil.ignore_patterns("__pycache__")
 
 
 def ab_suites(*args: str) -> subprocess.CompletedProcess:
@@ -27,7 +29,35 @@ def ab_suites(*args: str) -> subprocess.CompletedProcess:
 def test_ab_suites_of_one_tree_against_itself():
     run = ab_suites(str(ROOT), str(ROOT), "--rounds", "1")
     assert run.returncode == 0, run.stderr
-    assert "outputs equal in every batch" in run.stdout
+    assert [line.split(":")[0] for line in run.stdout.splitlines()[1:]] == [
+        "subject-reduction", "diamond", "progress", "consistency", "all"]
+    assert "outputs equal in every operation" in run.stdout
+
+
+def test_ab_suites_corpus_of_one_tree_against_itself():
+    run = ab_suites(str(ROOT), str(ROOT), "--workload", "corpus", "--rounds", "2")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["round 1", "round 2"]
+    assert lines[2].startswith("corpus: ")
+    assert lines[-1].startswith("all: ")
+    assert "of 2; outputs equal in every operation" in lines[-1]
+
+
+def test_ab_suites_corpus_stops_when_derived_files_differ(tmp_path):
+    # A copy whose ``derive`` writes one byte more per file: every check
+    # and revalidation still passes, only the derived sizes differ.
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "perfbench", other / "perfbench", ignore=IGNORE)
+    shutil.copytree(ROOT / "src", other / "src", ignore=IGNORE)
+    cli = other / "src" / "ulevels" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('f.write(text + "\\n")') == 1
+    cli.write_text(text.replace('f.write(text + "\\n")', 'f.write(text + "\\n\\n")'),
+                   encoding="utf-8")
+    run = ab_suites(str(ROOT), str(other), "--workload", "corpus", "--rounds", "1")
+    assert run.returncode == 1
+    assert "outputs differ" in run.stderr
 
 
 def test_ab_suites_refuses_zero_rounds():
