@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 
 from .checker import Verdict, check, derivation_to_doc
@@ -193,8 +194,14 @@ def _cmd_derive(args) -> int:
     doc = derivation_to_doc(res.derivation, domain)
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        # Written over in place, not truncated to zero first: ext4 starts a
+        # writeback when a file truncated to zero is closed (auto_da_alloc).
+        # Only a regular file can be cut to the document's length; /dev/null
+        # and FIFOs reject the truncate.
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(f"{text}\n".encode("utf-8"))
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     else:
         print(text)
     return EXIT_OK

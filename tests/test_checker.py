@@ -769,6 +769,39 @@ def test_check_derivation_rejects_omega_in_nat_domain():
     assert any("outside the domain" in e for e in report.errors)
 
 
+def _with_type(d: Derivation, ty: Term) -> Derivation:
+    return Derivation(d.rule, d.ctx, d.term, ty, d.premises)
+
+
+# Nodes of the right shape whose parts break one relation of their rule;
+# every premise is valid, so that relation is the only error.
+WRONG_RELATIONS = [
+    (
+        Derivation("Nil", (Mty(),), None, None),
+        "Nil: context must be empty",
+    ),
+    (
+        Derivation(
+            "Lvl",
+            (LevelLt(OMEGA),),
+            Lvl(Finite(0)),
+            LevelLt(Var(0)),
+            (TypeChecker().ctx_derivation((LevelLt(OMEGA),)),),
+        ),
+        "Lvl: bound must be a literal",
+    ),
+    (
+        _with_type(accepted((), IDENT, Pi(Mty(), Mty())), Pi(U(0), Mty())),
+        "Lam: annotation differs from the domain",
+    ),
+]
+
+
+@pytest.mark.parametrize("d, message", WRONG_RELATIONS)
+def test_check_derivation_rejects_a_broken_relation(d, message):
+    assert check_derivation(d).errors == (message,)
+
+
 def test_check_derivation_flags_premise_mismatch():
     # A Var node whose stated type ignores the shift.
     ctx = (U_OMEGA, Var(0))

@@ -251,6 +251,39 @@ def test_derive_to_file(tmp_path):
     assert doc["domain"] == "nat-omega"
 
 
+def test_derive_over_a_longer_file_leaves_the_fresh_bytes(tmp_path):
+    source = write(tmp_path, GOOD)
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    old.write_bytes(random.Random(0).randbytes(100_000))
+    assert run_cli(["derive", source, "Small", "--out", str(fresh)]) == 0
+    assert run_cli(["derive", source, "Small", "--out", str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_derive_through_a_symlink_rewrites_its_target(tmp_path):
+    source = write(tmp_path, GOOD)
+    fresh, target, link = (tmp_path / n for n in ("fresh.json", "target.json", "link.json"))
+    target.write_bytes(b"x" * 10_000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli(["derive", source, "Small", "--out", str(fresh)]) == 0
+    assert run_cli(["derive", source, "Small", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_derive_to_dev_null(tmp_path):
+    assert run_cli(["derive", write(tmp_path, GOOD), "Small", "--out", os.devnull]) == 0
+
+
+def test_derive_to_a_directory_is_usage_error(tmp_path, capsys):
+    assert run_cli(["derive", write(tmp_path, GOOD), "Small", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EISDIR}] Is a directory: ")
+    assert "Traceback" not in err
+
+
 def test_derive_corpus_writes_each_shared_node_once(tmp_path):
     sizes = {}
     digest = hashlib.sha256()

@@ -52,8 +52,8 @@ def test_ab_suites_corpus_stops_when_derived_files_differ(tmp_path):
     shutil.copytree(ROOT / "src", other / "src", ignore=IGNORE)
     cli = other / "src" / "ulevels" / "cli.py"
     text = cli.read_text(encoding="utf-8")
-    assert text.count('f.write(text + "\\n")') == 1
-    cli.write_text(text.replace('f.write(text + "\\n")', 'f.write(text + "\\n\\n")'),
+    assert text.count('f.write(f"{text}\\n".encode("utf-8"))') == 1
+    cli.write_text(text.replace('f.write(f"{text}\\n"', 'f.write(f"{text}\\n\\n"'),
                    encoding="utf-8")
     run = ab_suites(str(ROOT), str(other), "--workload", "corpus", "--rounds", "1")
     assert run.returncode == 1
