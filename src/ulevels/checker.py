@@ -52,7 +52,6 @@ from .terms import (
     Univ,
     Var,
     children,
-    iter_subterms,
 )
 from . import subst
 
@@ -1324,7 +1323,7 @@ def elaborate_lam_prime(
 
 
 # ---------------------------------------------------------------------------
-# Bounded derivation search
+# Validated derivation search
 
 
 def search_derivation(
@@ -1332,68 +1331,23 @@ def search_derivation(
     t: Term,
     ty: Term,
     domain: LevelDomain = NAT_OMEGA,
-    depth: int = 8,
     fuel: int = DEFAULT_FUEL,
 ) -> Derivation | None:
-    """Backward search for a derivation of ctx |- t : ty, up to
-    ``depth`` nested rule applications. Exhaustive over a finite
-    candidate set for the non-syntax-directed rules, so a None answer
-    means no derivation exists within the depth for that candidate
-    universe of intermediate levels."""
-    checker = TypeChecker(domain, fuel)
+    """The checker's derivation of ctx |- t : ty when the validator
+    accepts it, None otherwise.
 
-    def conv_ok(a: Term, b: Term) -> bool:
-        return convertible(a, b, fuel) is Convertibility.YES
-
-    candidates: list[Term] = []
-    seen_c: set[Term] = set()
-    for root in [t, ty, *ctx]:
-        for sub in iter_subterms(root):
-            n, done = pars(sub, fuel)
-            if done and n not in seen_c:
-                seen_c.add(n)
-                candidates.append(n)
-
-    # Memo: (subject, type) -> (settled_depth, derivation or None). A
-    # success is final; a failure at depth d also covers every d' <= d.
-    memo: dict[tuple[Term, Term], tuple[int, Derivation | None]] = {}
-
-    def attempt(goal_t: Term, goal_ty: Term, d: int) -> Derivation | None:
-        if d <= 0:
-            return None
-        key = (goal_t, goal_ty)
-        hit = memo.get(key)
-        if hit is not None:
-            settled, found = hit
-            if found is not None or settled >= d:
-                return found
-        res = checker.check(ctx, goal_t, goal_ty)
-        if res and check_derivation(res.derivation, domain, fuel).ok:
-            memo[key] = (d, res.derivation)
-            return res.derivation
-        n_ty, done = pars(goal_ty, fuel)
-        if done:
-            # Transitivity / cumulativity through candidate middles.
-            for mid in candidates:
-                if isinstance(n_ty, LevelLt) and not conv_ok(mid, n_ty.bound):
-                    lo = attempt(goal_t, LevelLt(mid), d - 1)
-                    hi = lo and attempt(mid, LevelLt(n_ty.bound), d - 1)
-                    if lo and hi:
-                        trans = _trans(lo, hi)
-                        if check_derivation(trans, domain, fuel).ok:
-                            memo[key] = (d, trans)
-                            return trans
-                if isinstance(n_ty, Univ) and not conv_ok(mid, n_ty.level):
-                    at = attempt(goal_t, Univ(mid), d - 1)
-                    lt = at and attempt(mid, LevelLt(n_ty.level), d - 1)
-                    if at and lt:
-                        cum = Derivation(
-                            "Cumul", ctx, goal_t, Univ(n_ty.level), (at, lt)
-                        )
-                        if check_derivation(cum, domain, fuel).ok:
-                            memo[key] = (d, cum)
-                            return cum
-        memo[key] = (d, None)
-        return None
-
-    return attempt(t, ty, depth)
+    Composing ``Trans`` or ``Cumul`` through a middle level finds nothing
+    the checker misses, because the checker's level relation is
+    transitive. Checking ``s : Level< n`` infers ``s : Level< b`` and
+    climbs from ``b``; each climb step goes to the current level's
+    inferred bound, and ``LevelOrder.path`` follows the same declared
+    bounds. So if the climb from ``b`` reaches ``m``, and ``m``'s bound
+    climbs on to ``n``, the climb from ``b`` reaches ``n`` too. Checking
+    ``s : U n`` asks the same relation of ``s``'s universe index, or of
+    its parts. The one exception is a chain longer than ``CLIMB_CAP``
+    non-variable steps.
+    """
+    res = TypeChecker(domain, fuel).check(ctx, t, ty)
+    if res and check_derivation(res.derivation, domain, fuel).ok:
+        return res.derivation
+    return None

@@ -9,7 +9,7 @@ plain equality: terms are compared with ``==``.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Union
 
 from .levels import LevelValue
 from .node import Node
@@ -31,7 +31,6 @@ __all__ = [
     "children",
     "is_value",
     "term_size",
-    "iter_subterms",
 ]
 
 
@@ -175,11 +174,3 @@ def term_size(term: Term) -> int:
     for kid in children(term):
         size += term_size(kid)
     return size
-
-
-def iter_subterms(term: Term) -> Iterator[Term]:
-    """Yield ``term`` and every subterm, preorder."""
-    kids = children(term)
-    yield term
-    for kid in kids:
-        yield from iter_subterms(kid)

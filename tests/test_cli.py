@@ -103,6 +103,19 @@ def test_check_dangling_fail_is_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("#fuel omega\ndef a : U 1 := U 0\n", "line 1: fuel must be a number"),
+        ("foo\n", "line 1: expected a pragma or definition, found 'foo'"),
+    ],
+)
+def test_check_malformed_line_is_usage_error(tmp_path, capsys, source, message):
+    code = run_cli(["check", write(tmp_path, source)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "eval", "reduce", "derive"])
 def test_invalid_utf8_is_usage_error(tmp_path, capsys, command):
     path = tmp_path / "input.ttbfl"
@@ -172,6 +185,12 @@ def test_eval_unknown_name_is_usage_error(tmp_path, capsys):
     code = run_cli(["eval", write(tmp_path, DEMO), "missing"])
     assert code == 2
     assert "no definition named" in capsys.readouterr().err
+
+
+def test_eval_without_definitions_is_usage_error(tmp_path, capsys):
+    code = run_cli(["eval", write(tmp_path, "-- only a comment\n")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the file has no definitions\n"
 
 
 def test_reduce_normalizes_under_binders(tmp_path, capsys):
@@ -346,6 +365,16 @@ def test_derive_rejected_definition(tmp_path, capsys):
     code = run_cli(["derive", write(tmp_path, BAD), "wrong"])
     assert code == 1
     assert "does not check" in capsys.readouterr().err
+
+
+def test_derive_undecided_definition_exits_3(tmp_path, capsys):
+    source = "def x : (fun (A : U 2) . A) (U 1) := U 0\n"
+    code = run_cli(["derive", write(tmp_path, source), "--fuel", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "error: x: head normalization ran out of fuel on (fun (x : U 2) . x) (U 1)\n"
+    )
 
 
 # ---------------------------------------------------------------------------
