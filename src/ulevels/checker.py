@@ -27,7 +27,6 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import NamedTuple
 
 from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
@@ -88,10 +87,19 @@ CLIMB_CAP = 64
 
 class Derivation(Node):
     """One rule application. Context judgments (Nil/Cons) leave term and
-    ty as None; typing judgments fill both."""
+    ty as None; typing judgments fill both. A node hashes and compares
+    by identity; compare structure through :func:`derivation_to_doc`."""
 
     __slots__ = ()
     __match_args__ = ("rule", "ctx", "term", "ty", "premises")
+    __hash__ = object.__hash__
+
+    # Not object.__eq__, whose NotImplemented lets tuple.__eq__ compare fields.
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
 
     def __new__(
         cls,
@@ -125,14 +133,13 @@ def postorder(root: Derivation, parts=_parts) -> Iterator:
     """Each distinct part reachable from ``root`` through ``parts``,
     once, after the parts it holds, without recursing. Nodes are
     distinct by identity, contexts and terms by value."""
-    seen = {id(root), None}  # None, a missing subject or type, is no part
+    seen = {root, None}  # None, a missing subject or type, is no part
     stack = [(root, iter(parts(root)))]
     while stack:
         part, held = stack[-1]
         for kid in held:
-            key = id(kid) if isinstance(kid, Derivation) else kid
-            if key not in seen:
-                seen.add(key)
+            if kid not in seen:
+                seen.add(kid)
                 stack.append((kid, iter(parts(kid))))
                 break
         else:
@@ -474,21 +481,20 @@ def derivation_to_doc(d: Derivation, domain: LevelDomain = NAT_OMEGA) -> dict:
     """Table document for ``d``; see :func:`derivation_from_doc`. Raises
     RecursionError where that reader would refuse the document."""
     tables: dict[str, list] = {"terms": [], "ctxs": [], "nodes": []}
-    ix: dict = {None: None}  # each part's index in its table, nodes by id
+    ix: dict = {None: None}  # each part's index in its table
     for part in postorder(d):
         if isinstance(part, Derivation):
             rule, ctx, t, ty, ps = part
-            key, table = id(part), "nodes"
+            table = "nodes"
             entry = {"rule": rule, "ctx": ix[ctx], "term": ix[t], "ty": ix[ty]}
-            entry["premises"] = [ix[id(p)] for p in ps]
+            entry["premises"] = [ix[p] for p in ps]
         elif type(part) is tuple:
-            key, table, entry = part, "ctxs", [ix[t] for t in part]
+            table, entry = "ctxs", [ix[t] for t in part]
         else:
-            key, table, entry = part, "terms", _term_entry(part, ix)
-        ix[key] = len(tables[table])
+            table, entry = "terms", _term_entry(part, ix)
+        ix[part] = len(tables[table])
         tables[table].append(entry)
-    _within_bound(tables["terms"], _term_refs, "term")
-    _within_bound(tables["nodes"], itemgetter("premises"), "derivation node")
+    _within_bound(tables["terms"])
     return {"format": DERIVATION_FORMAT, "domain": domain.name, **tables}
 
 
@@ -508,22 +514,21 @@ def _term_refs(entry: dict) -> list:
     return [] if cls is None else [entry[name] for name in cls.__match_args__]
 
 
-def _within_bound(table: list, refs_of, what: str) -> None:
-    """Raise RecursionError if an entry of ``table``, holding the entries
-    at ``refs_of(entry)``, nests deeper than Python's recursion limit.
-    This is the one bound on documents, both ways: hashing a term or a
-    derivation node recurses in C, past that limit, and can overflow the
-    stack, so ``derive`` writes no deeper part and the loader returns
-    none."""
+def _within_bound(terms: list) -> None:
+    """Raise RecursionError if an entry of the term table ``terms`` nests
+    deeper than Python's recursion limit. This is the one bound on
+    documents, both ways: hashing a term recurses in C, past that limit,
+    and can overflow the stack, so ``derive`` writes no deeper term and
+    the loader returns none (derivation nodes hash by identity)."""
     limit = sys.getrecursionlimit()
     # An entry n deep holds a chain of n distinct entries of its table.
-    if len(table) <= limit:
+    if len(terms) <= limit:
         return
     depths: list[int] = []
-    for entry in table:
-        depths.append(1 + max((depths[i] for i in refs_of(entry)), default=0))
+    for entry in terms:
+        depths.append(1 + max((depths[i] for i in _term_refs(entry)), default=0))
         if depths[-1] > limit:
-            raise RecursionError(f"{what} nested deeper than {limit}")
+            raise RecursionError(f"term nested deeper than {limit}")
 
 
 def _natural(value: object) -> int:
@@ -554,7 +559,7 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
     """Rebuild the derivation and domain of a :func:`derivation_to_doc`
     document, sharing each node, context and term as the tables do.
     Raises ValueError on anything else, including indices that do not
-    point to an earlier entry and parts nested past
+    point to an earlier entry and terms nested past
     :func:`_within_bound`."""
     if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
         raise ValueError("not a derivation document: no known format marker")
@@ -562,9 +567,9 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
         terms: list[Term] = []
         for entry in doc["terms"]:
             terms.append(_term_from_entry(entry, terms))
-        # Building hashes nothing, so a part past the bound is refused
+        # Building hashes nothing, so a term past the bound is refused
         # before anything reads it.
-        _within_bound(doc["terms"], _term_refs, "term")
+        _within_bound(doc["terms"])
         ctxs = [tuple(_ref(terms, i) for i in c) for c in doc["ctxs"]]
         nodes: list[Derivation] = []
         for entry in doc["nodes"]:
@@ -577,7 +582,6 @@ def derivation_from_doc(doc: dict) -> tuple[Derivation, LevelDomain]:
             )
             premises = tuple(_ref(nodes, p) for p in entry["premises"])
             nodes.append(Derivation(entry["rule"], ctx, term, ty, premises))
-        _within_bound(doc["nodes"], itemgetter("premises"), "derivation node")
         return nodes[-1], domain_named(doc["domain"])
     except RecursionError as e:
         raise ValueError(str(e)) from None

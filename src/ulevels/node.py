@@ -16,7 +16,8 @@ The contract is that of a frozen dataclass:
 - two nodes are equal when they have the same class and equal fields;
   equality tests identity first, so a node compared with itself
   returns at once without comparing its fields;
-- the hash is the hash of the tuple of fields;
+- the hash is the hash of the tuple of fields; a ``checker.Derivation``
+  is the exception, hashing and comparing by identity;
 - ``repr`` prints ``Name(field=value, ...)``;
 - fields cannot be assigned, and nodes cannot be ordered, concatenated
   or repeated; every node is truthy, including one without fields,

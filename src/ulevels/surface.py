@@ -51,7 +51,6 @@ __all__ = [
     "SurfaceDef",
     "Module",
     "parse",
-    "parse_expr",
     "resolve",
     "pretty",
     "DefReport",
@@ -322,13 +321,6 @@ def parse(source: str) -> Module:
         raise SurfaceError(
             "input nested too deeply to parse", parser.peek().line
         ) from None
-
-
-def parse_expr(source: str) -> tuple:
-    parser = _Parser(lex(source))
-    node = parser.expr()
-    parser.expect("eof", "end of input")
-    return node
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,7 @@ def U(n: int) -> Univ:
     return Univ(Lvl(Finite(n)))
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 OMEGA = Lvl(OmegaPlus(0))
 U_OMEGA = Univ(OMEGA)
 premises = attrgetter("premises")
@@ -283,7 +287,7 @@ def test_checkers_of_one_domain_share_literal_types():
     (ty1, d1), (ty2, d2) = (TypeChecker(NAT).infer((), Lvl(Finite(5))) for _ in "ab")
     assert ty1 is ty2
     # Derivation nodes stay per checker.
-    assert d1 is not d2 and d1 == d2
+    assert d1 is not d2 and derivation_to_doc(d1) == derivation_to_doc(d2)
 
 
 def test_each_domain_object_has_its_own_literal_types():
@@ -622,6 +626,16 @@ def test_conv_still_runs_out_of_fuel_on_distinct_sides():
     with pytest.raises(FuelError):
         tc._conv(LOOP, Mty())
     assert convertible(LOOP, Mty(), 5) is Convertibility.UNDECIDED
+
+
+def test_conv_to_refuses_an_inconvertible_type():
+    # Every caller converts only after its own test, so no judgment
+    # reaches this raise; it guards the Conv nodes the checker builds.
+    tc = TypeChecker()
+    _, d = tc.infer((), Lvl(Finite(0)))
+    mismatch = "^type mismatch: expected U 0, got Level< 1$"
+    with pytest.raises(TypingError, match=mismatch):
+        tc._conv_to(d, U(0))
 
 
 def _beta(ann: Term, arg: Term) -> Term:
@@ -990,7 +1004,7 @@ def test_derivation_json_roundtrip():
     doc = derivation_to_doc(d, NAT_OMEGA)
     text = json.dumps(doc)
     back, domain = derivation_from_doc(json.loads(text))
-    assert back == d
+    assert back is not d and derivation_to_doc(back) == doc
     assert domain is NAT_OMEGA
     assert check_derivation(back, domain).ok
     distinct = len(list(postorder(d, premises)))
@@ -1018,18 +1032,14 @@ def test_postorder_walks_a_deep_chain_without_recursing():
 def test_postorder_yields_each_part_once_after_what_it_holds():
     d = accepted((LevelLt(OMEGA), LevelLt(Var(0))), Var(0), LevelLt(OMEGA))
     parts = list(postorder(d))
-
-    def key(part):
-        return id(part) if isinstance(part, Derivation) else part
-
-    position = {key(p): i for i, p in enumerate(parts)}
+    position = {p: i for i, p in enumerate(parts)}
     assert len(position) == len(parts)
     for i, part in enumerate(parts):
         if isinstance(part, Derivation):
             held = (part.ctx, part.term, part.ty, *part.premises)
         else:
             held = part if type(part) is tuple else children(part)
-        assert all(position[key(h)] < i for h in held if h is not None)
+        assert all(position[h] < i for h in held if h is not None)
     doc = derivation_to_doc(d)
     assert len(doc["nodes"]) == sum(isinstance(p, Derivation) for p in parts)
     assert len(doc["ctxs"]) == sum(type(p) is tuple for p in parts)
@@ -1037,19 +1047,22 @@ def test_postorder_yields_each_part_once_after_what_it_holds():
 
 
 def test_derivation_to_doc_writes_up_to_the_loader_bound():
-    # The writer spends no frame per level: a chain as deep as the loader
-    # reads is written and read back, and one level more is refused.
+    # The writer spends no frame per level. Nodes hash by identity, so the
+    # loader bounds only terms: a node chain past the recursion limit is
+    # written and read back, and so is a term as deep as the limit; one
+    # level more is refused.
     limit = sys.getrecursionlimit()
-    doc = derivation_to_doc(trans_chain(limit - 1))
-    assert len(doc["nodes"]) == limit
+    doc = derivation_to_doc(trans_chain(2 * limit))
+    assert len(doc["nodes"]) == 2 * limit + 1
     assert derivation_to_doc(*derivation_from_doc(doc)) == doc
-    with pytest.raises(RecursionError, match="derivation node nested deeper"):
-        derivation_to_doc(trans_chain(limit))
     deep_term = Mty()
-    for _ in range(limit):
+    for _ in range(limit - 1):
         deep_term = Univ(deep_term)
+    doc = derivation_to_doc(Derivation("Mty", (), deep_term, None))
+    assert len(doc["terms"]) == limit
+    assert derivation_to_doc(*derivation_from_doc(doc)) == doc
     with pytest.raises(RecursionError, match="term nested deeper"):
-        derivation_to_doc(Derivation("Mty", (), deep_term, None))
+        derivation_to_doc(Derivation("Mty", (), Univ(deep_term), None))
 
 
 def _small_doc():
@@ -1088,12 +1101,6 @@ CORRUPTIONS = {
         {"k": "Univ", "level": i}
         for i in range(len(doc["terms"]) - 1, sys.getrecursionlimit() + 9)
     ),
-    "node-nested-too-deep": lambda doc: doc["nodes"].extend(
-        {"rule": "Nil", "ctx": 0, "term": None, "ty": None, "premises": [i]}
-        for i in range(
-            len(doc["nodes"]) - 1, len(doc["nodes"]) + sys.getrecursionlimit()
-        )
-    ),
 }
 
 
@@ -1107,8 +1114,8 @@ def test_derivation_from_doc_rejects_malformed_documents(corrupt):
 
 
 def test_check_derivation_reports_a_chain_too_deep_to_validate():
-    # The loader admits any chain up to the recursion limit; the validator
-    # recurses once per node and meets the limit first.
+    # The loader admits a node chain of any depth; the validator recurses
+    # once per node and meets the recursion limit.
     doc = derivation_to_doc(Derivation("Nil", (), None, None))
     doc["nodes"].extend(
         {"rule": "Conv", "ctx": 0, "term": None, "ty": None, "premises": [i]}
@@ -1130,6 +1137,58 @@ def test_check_derivation_reports_a_hand_built_chain_too_deep_to_validate():
     assert check_derivation(d) == DerivationReport(
         False, ("resource limit: derivation nested too deeply to validate",)
     )
+
+
+# Run in a subprocess, so that a hash or a comparison that recurses into
+# the chain crashes that process, not the test run.
+DEEP_DOCUMENTS = """
+import sys
+from ulevels.checker import (
+    Derivation, check_derivation, derivation_from_doc, derivation_to_doc)
+from ulevels.terms import Mty, Univ
+
+doc = derivation_to_doc(Derivation("Nil", (), None, None))
+doc["nodes"].extend(
+    {"rule": "Trans", "ctx": 0, "term": None, "ty": None, "premises": [i, i]}
+    for i in range(99_999)
+)
+d, domain = derivation_from_doc(doc)
+print(len(doc["nodes"]), hash(d) == hash(d), d == d, d != d, d in {d})
+print(check_derivation(d, domain).errors)
+print(derivation_to_doc(d, domain) == doc)
+
+limit = sys.getrecursionlimit()
+tower = Mty()
+for _ in range(limit):
+    tower = Univ(tower)
+try:
+    derivation_to_doc(Derivation("Mty", (), tower, None))
+except RecursionError as e:
+    print("writer:", e)
+doc = derivation_to_doc(Derivation("Mty", (), Mty(), None))
+doc["terms"].extend({"k": "Univ", "level": i} for i in range(limit))
+doc["nodes"][-1]["term"] = limit
+try:
+    derivation_from_doc(doc)
+except ValueError as e:
+    print("loader:", e)
+"""
+
+
+def test_a_node_chain_of_any_depth_loads_and_a_deep_term_does_not():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-c", DEEP_DOCUMENTS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [
+        "100000 True True False True",
+        "('resource limit: derivation nested too deeply to validate',)",
+        "True",
+        "writer: term nested deeper than 1000",
+        "loader: term nested deeper than 1000",
+    ]
 
 
 def test_derivation_from_doc_rejects_tree_documents():

@@ -342,22 +342,24 @@ def level_chain(n: int) -> str:
 
 
 def test_derive_writes_what_check_accepts_up_to_the_loader_bound(tmp_path, capsys):
-    # 150 variables: nodes 901 deep, which the loader reads back.
-    path = write(tmp_path, level_chain(150))
-    out = tmp_path / "deep.json"
-    assert run_cli(["check", path]) == 0
-    assert run_cli(["derive", path, "--out", str(out)]) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert derivation_to_doc(*derivation_from_doc(doc)) == doc
-    # 167 variables: nodes 1,003 deep, past the loader's bound at the
-    # default recursion limit; check accepts it, derive writes nothing.
+    # The loader bounds terms only, and a chain's terms nest about n deep,
+    # so derive writes every chain check accepts, its nodes 6n + 1 deep:
+    # 901, 1,003 and 1,801 levels, past the recursion limit of 1,000.
+    for n in (150, 167, 300):
+        path = write(tmp_path, level_chain(n), f"chain{n}.ttbfl")
+        out = tmp_path / f"chain{n}.json"
+        assert run_cli(["check", path]) == 0, n
+        assert run_cli(["derive", path, "--out", str(out)]) == 0, n
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert derivation_to_doc(*derivation_from_doc(doc)) == doc, n
+    # 600 variables are too deep for the checker: both commands say so.
     capsys.readouterr()
-    path = write(tmp_path, level_chain(167), "deeper.ttbfl")
-    out = tmp_path / "deeper.json"
-    assert run_cli(["check", path]) == 0
-    assert run_cli(["derive", path, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "resource limit" in err and "Traceback" not in err
+    path = write(tmp_path, level_chain(600), "chain600.ttbfl")
+    out = tmp_path / "chain600.json"
+    for argv in (["check", path], ["derive", path, "--out", str(out)]):
+        assert run_cli(argv) == 3
+        said = "".join(capsys.readouterr())
+        assert "resource limit" in said and "Traceback" not in said
     assert not out.exists()
 
 

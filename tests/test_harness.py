@@ -12,6 +12,7 @@ from ulevels import harness, subst
 from ulevels.checker import Derivation, TypeChecker, Verdict, check, check_derivation
 from ulevels.harness import (
     GenConfig,
+    PropertyReport,
     RULES,
     SUITES,
     broken_substitution,
@@ -25,7 +26,7 @@ from ulevels.harness import (
 from ulevels.levels import DOMAINS, NAT_OMEGA, Finite, OmegaPlus, domain_named
 from ulevels.reduction import ParExplosion, par_reducts
 from ulevels.subst import subst1
-from ulevels.terms import App, Lam, Lvl, Mty, Term, Var, term_size
+from ulevels.terms import App, Lam, LevelLt, Lvl, Mty, Pi, Term, Univ, Var, term_size
 import random
 import sys
 
@@ -472,6 +473,82 @@ def test_shrink_term_minimizes_under_predicate():
 def test_shrink_keeps_term_when_nothing_smaller_fails():
     t = Lvl(NAT_OMEGA.zero())
     assert shrink_term(t, lambda s: s == t) == t
+
+
+def test_shrink_term_stops_at_its_budget():
+    big = App(Lam(Mty(), Var(0)), Lvl(NAT_OMEGA.zero()))
+    tried = []
+
+    def fails(t: Term) -> bool:
+        tried.append(t)
+        return True
+
+    # The candidate that spends the budget is not tried.
+    assert shrink_term(big, fails, budget=1) == big and tried == []
+    assert shrink_term(big, fails, budget=2) == Mty() and tried == [Mty()]
+
+
+def test_shrink_term_counts_a_raising_predicate_as_passing():
+    big = App(Lam(Mty(), Var(0)), Lvl(NAT_OMEGA.zero()))
+
+    def raises(t: Term) -> bool:
+        raise RuntimeError("predicate failed")
+
+    assert shrink_term(big, raises) == big
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+def test_summary_lists_ten_failures_and_counts_the_rest():
+    report = PropertyReport(
+        suite="diamond", cases=12, failures=tuple(f"case {i}" for i in range(12)),
+        undecided=0, fallbacks=0, digest="0" * 16, elapsed=0.0,
+    )
+    lines = report.summary().splitlines()
+    assert lines[1:] == [f"  FAIL case {i}" for i in range(10)] + ["  ... and 2 more"]
+
+
+def _lvl(n: int) -> Lvl:
+    return Lvl(Finite(n))
+
+
+CANONICITY = {
+    "type-former": (Pi(Mty(), Mty()), Univ(_lvl(0)), None),
+    "literal": (_lvl(0), LevelLt(_lvl(1)), None),
+    "abstraction": (Lam(Mty(), Var(0)), Pi(Mty(), Mty()), None),
+    "not-a-type-former": (
+        _lvl(0), Univ(_lvl(0)),
+        "value of a universe is not a type former: Lvl(value=Finite(n=0))",
+    ),
+    "not-a-literal": (
+        Mty(), LevelLt(_lvl(1)), "value of a bound type is not a level literal: Mty()",
+    ),
+    "open-bound": (
+        _lvl(0), LevelLt(Var(0)),
+        "closed level bound did not normalize to a literal: Var(ix=0)",
+    ),
+    "not-below": (
+        _lvl(1), LevelLt(_lvl(1)),
+        "level Lvl(value=Finite(n=1)) is not strictly below its bound "
+        "Lvl(value=Finite(n=1))",
+    ),
+    "not-an-abstraction": (
+        Mty(), Pi(Mty(), Mty()),
+        "value of a function type is not an abstraction: Mty()",
+    ),
+    "empty-type": (_lvl(0), Mty(), "closed inhabitant of the empty type"),
+    "no-former": (
+        _lvl(0), Var(0),
+        "closed type did not normalize to a recognized former: Var(ix=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("value, n_ty, message", CANONICITY.values(), ids=CANONICITY)
+def test_canonicity_oracle_names_each_mismatch(value, n_ty, message):
+    assert harness._canonical_mismatch(value, n_ty, NAT_OMEGA, 100) == message
 
 
 # ---------------------------------------------------------------------------

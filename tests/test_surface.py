@@ -20,7 +20,6 @@ from ulevels.surface import (
     lex,
     module_settings,
     parse,
-    parse_expr,
     pretty,
     resolve,
 )
@@ -42,8 +41,14 @@ from gen import terms
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
+def body_tree(source: str) -> tuple:
+    """The surface tree of ``source`` as the body of a one-definition
+    module."""
+    return parse(f"def e : Bot := {source}").defs[0].body
+
+
 def rt(source: str, domain=NAT_OMEGA):
-    return resolve(parse_expr(source), (), {}, domain)
+    return resolve(body_tree(source), (), {}, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +219,12 @@ def test_unknown_identifier():
 
 def test_binderless_pi_rejected():
     with pytest.raises(SurfaceError):
-        parse_expr("Pi . U 0")
+        body_tree("Pi . U 0")
 
 
 def test_unbalanced_parens_rejected():
     with pytest.raises(SurfaceError):
-        parse_expr("(U 0")
+        body_tree("(U 0")
 
 
 # ---------------------------------------------------------------------------

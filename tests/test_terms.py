@@ -13,7 +13,7 @@ from hypothesis import given
 
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
-from ulevels.checker import CheckResult, Derivation, Verdict
+from ulevels.checker import CheckResult, Derivation, Verdict, derivation_to_doc
 from ulevels.harness import GenCase
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
@@ -23,7 +23,7 @@ from ulevels.reduction import (
     par_step_check,
 )
 from ulevels.subst import Subst, apply, shift, strengthen, subst1
-from ulevels.surface import Token, parse_expr
+from ulevels.surface import Token, parse
 from ulevels.terms import (
     BINDS,
     App,
@@ -90,7 +90,9 @@ def test_term_size_frozen():
 # The node contract: equality is same class and equal fields, the hash is
 # the hash of the field tuple, and nodes are immutable and unordered. The
 # records built in bulk next to terms (derivation nodes, check results,
-# substitutions, generated cases, tokens) keep the same contract.
+# substitutions, generated cases, tokens) keep the same contract, except
+# that a derivation node is its own identity: it hashes and compares as
+# an object, and copies of it have the same structure (document).
 
 ONE_OF_EACH = [
     Var(2),
@@ -124,10 +126,38 @@ def _fields(node) -> tuple:
     return tuple(getattr(node, name) for name in node.__match_args__)
 
 
-@pytest.mark.parametrize("t", NODES, ids=_name)
+def _holds_derivation(node) -> bool:
+    return type(node) is Derivation or Derivation in map(type, node)
+
+
+def _structure(node):
+    """``node``'s fields with each derivation node read as its document;
+    a derivation node's own document."""
+    if type(node) is Derivation:
+        return derivation_to_doc(node)
+    return tuple(derivation_to_doc(f) if type(f) is Derivation else f for f in node)
+
+
+@pytest.mark.parametrize("t", [t for t in NODES if t is not LVL], ids=_name)
 def test_hash_is_the_hash_of_the_field_tuple(t):
     assert hash(t) == hash(_fields(t)) == hash(tuple(t))
     assert t == type(t)(*_fields(t))
+
+
+def test_derivation_nodes_hash_and_compare_by_identity():
+    twin = Derivation(*_fields(LVL))
+    assert hash(LVL) == object.__hash__(LVL)
+    assert LVL == LVL and not LVL != LVL
+    assert not twin == LVL and twin != LVL
+    assert len({LVL, twin}) == 2
+    assert derivation_to_doc(twin) == derivation_to_doc(LVL)
+    # A record holding one compares that field by identity too.
+    accepted = CheckResult(Verdict.ACCEPTED, derivation=LVL)
+    assert accepted == CheckResult(Verdict.ACCEPTED, derivation=LVL)
+    assert accepted != CheckResult(Verdict.ACCEPTED, derivation=twin)
+    # Nor is a node equal to the plain tuple of its fields, either way.
+    assert not LVL == tuple(LVL) and LVL != tuple(LVL)
+    assert not tuple(LVL) == LVL and tuple(LVL) != LVL
 
 
 @pytest.mark.parametrize(
@@ -188,7 +218,8 @@ SAME_ARITY = [
 def test_nodes_of_different_classes_are_unequal(a, b):
     fields = (Mty(),) * len(a.__match_args__)
     x, y = a(*fields), b(*fields)
-    assert hash(x) == hash(y)
+    if a is not Derivation:  # a derivation node hashes by identity
+        assert hash(x) == hash(y)
     assert not x == y and x != y
     assert not y == x and y != x
     assert len({x, y}) == 2
@@ -224,13 +255,19 @@ def test_check_result_is_true_only_when_accepted():
 
 @pytest.mark.parametrize("t", NODES, ids=_name)
 def test_copies_and_pickles_are_equal(t):
+    # A copied derivation node is another object of the same structure.
+    by_value = not _holds_derivation(t)
     for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert type(clone) is type(t)
-        assert clone == t and hash(clone) == hash(t)
+        assert _structure(clone) == _structure(t)
+        assert (clone == t) is by_value
+        if by_value:
+            assert hash(clone) == hash(t)
 
 
 def test_records_take_keywords_and_defaults():
-    assert Derivation(rule="Nil", ctx=(), term=None, ty=None) == NIL
+    nil = Derivation(rule="Nil", ctx=(), term=None, ty=None)
+    assert derivation_to_doc(nil) == derivation_to_doc(NIL)
     assert NIL.premises == ()
     res = CheckResult(Verdict.REJECTED)
     assert (res.message, res.derivation) == ("", None)
@@ -287,7 +324,9 @@ TRAVERSALS = {
 @pytest.mark.parametrize(
     "run", [children, *TRAVERSALS.values()], ids=["children", *TRAVERSALS]
 )
-@pytest.mark.parametrize("value", [None, parse_expr("Bot")], ids=["None", "surface"])
+@pytest.mark.parametrize(
+    "value", [None, parse("def e : Bot := Bot").defs[0].body], ids=["None", "surface"]
+)
 def test_traversals_reject_non_terms(run, value):
     with pytest.raises(TypeError):
         run(value)
