@@ -117,9 +117,6 @@ class DerivationReport:
     ok: bool
     errors: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _parts(part: Derivation | Context | Term) -> tuple:
     """What ``part`` holds: a node its context, subject, type and
@@ -818,40 +815,31 @@ class TypeChecker:
         """Type ``t`` as a level: a derivation of t : Level< bound."""
         return self._infer_head(ctx, t, LevelLt, "level")
 
-    def _bound_typing(self, ctx: Context, t: Term) -> Term | None:
-        """A bound strictly above the level term ``t``, if one can be
-        synthesized cheaply: context entry or the annotation of a stuck
-        elimination; otherwise full inference."""
-        match t:
-            case Var(ix):
-                try:
-                    entry = self._whnf(subst.ctx_lookup(ctx, ix))
-                except IndexError:
-                    return None
-                return entry.bound if isinstance(entry, LevelLt) else None
-            case Absurd(ann, _):
-                n = self._whnf(ann)
-                return n.bound if isinstance(n, LevelLt) else None
-            case _:
-                try:
-                    bound, _ = self.infer_level(ctx, t)
-                except FuelError:
-                    raise
-                except TypingError:
-                    return None
-                return bound
-
     def _climb(self, ctx: Context, k: Term) -> Iterator[Term]:
-        """``k`` normalized, then each bound ``_bound_typing`` finds above
-        the level before it, normalized: at most CLIMB_CAP steps, stopping
-        before a level repeats."""
+        """``k`` normalized, then the bound of each level before it,
+        normalized: a variable's declared bound, read from its context
+        entry (the edge ``LevelOrder`` follows), any other level's from
+        ``infer_level``. At most CLIMB_CAP steps, stopping at a level
+        with no bound or before a level repeats."""
         cur = self._norm(k)
         seen = {cur}
         yield cur
         for _ in range(CLIMB_CAP):
-            bound = self._bound_typing(ctx, cur)
-            if bound is None:
-                return
+            if isinstance(cur, Var):
+                try:
+                    entry = self._whnf(subst.ctx_lookup(ctx, cur.ix))
+                except IndexError:
+                    return
+                if not isinstance(entry, LevelLt):
+                    return
+                bound = entry.bound
+            else:
+                try:
+                    bound, _ = self.infer_level(ctx, cur)
+                except FuelError:
+                    raise
+                except TypingError:
+                    return
             cur = self._norm(bound)
             if cur in seen:
                 return

@@ -98,7 +98,6 @@ __all__ = [
     "run_suite",
     "shrink_term",
     "broken_substitution",
-    "RULES",
 ]
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "par_reducts",
     "par_step_check",
     "complete_development",
-    "is_normal",
     "pars",
     "whnf",
     "cbn_step",
@@ -133,17 +132,12 @@ def complete_development(term: Term) -> Term:
     return type(term)(first, second)
 
 
-def is_normal(term: Term) -> bool:
-    """No beta redex anywhere: the complete development returns ``term``
-    itself exactly then. Identity is the real test; a self-replicating
-    redex develops to an equal but new term, which is not normal."""
-    return complete_development(term) is term
-
-
 def pars(term: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, bool]:
     """Iterate complete developments until one returns its argument
-    itself (the test of ``is_normal``); each step to a new reduct costs
-    one unit of fuel. Returns the last reduct and whether it is a
+    itself, which happens exactly when it has no beta redex. Identity
+    is the test, not equality: a self-replicating redex develops to an
+    equal but new term, which is not normal. Each step to a new reduct
+    costs one unit of fuel. Returns the last reduct and whether it is a
     normal form; False means the fuel ran out."""
     while (nxt := complete_development(term)) is not term:
         if fuel <= 0:

@@ -204,14 +204,30 @@ def test_level_is_not_below_itself():
 
 
 def test_level_lt_check_climbs_like_the_checker():
-    ctx = (Mty(),)
-    lo = Absurd(LevelLt(Lvl(Finite(3))), Var(0))
-    accepted(ctx, lo, LevelLt(Lvl(Finite(5))))
-    assert level_lt_check(ctx, lo, Lvl(Finite(5)))
-    # The climb reads the annotation, but the scrutinee is no refutation.
-    ill_typed = (U(0),)
-    rejected(ill_typed, lo, LevelLt(Lvl(Finite(5))))
-    assert not level_lt_check(ill_typed, lo, Lvl(Finite(5)))
+    # The climb reads a variable's declared bound without typing it, so
+    # it finds Bot above #0 here. level_lt_check types #0 as a level
+    # first and, like check, says no.
+    ctx = (LevelLt(Mty()),)
+    assert TypeChecker().level_below(ctx, Var(0), Mty())
+    rejected(ctx, Var(0), LevelLt(Mty()))
+    assert not level_lt_check(ctx, Var(0), Mty())
+
+
+def test_climb_types_an_absurd_level_before_reading_its_bound():
+    # absurd [Level< 3] #0 has the bound 3 only where #0 refutes: the
+    # climb infers that bound, so it agrees with check in both contexts.
+    lo, five = Absurd(LevelLt(Lvl(Finite(3))), Var(0)), Lvl(Finite(5))
+    refuting, ill_typed = (Mty(),), (U(0),)
+    assert TypeChecker().level_below(refuting, lo, five)
+    accepted(refuting, lo, LevelLt(five))
+    assert level_lt_check(refuting, lo, five)
+    assert not TypeChecker().level_below(ill_typed, lo, five)
+    rejected(ill_typed, lo, LevelLt(five))
+    assert not level_lt_check(ill_typed, lo, five)
+
+
+def test_climb_stops_at_a_variable_out_of_scope():
+    assert not TypeChecker().level_below((), Var(3), Lvl(Finite(5)))
 
 
 def test_climb_from_a_literal_yields_its_successors():

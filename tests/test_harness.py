@@ -9,11 +9,18 @@ import pytest
 
 from ulevels import checker as checker_mod
 from ulevels import harness, subst
-from ulevels.checker import Derivation, TypeChecker, Verdict, check, check_derivation
+from ulevels.checker import (
+    RULES,
+    CheckResult,
+    Derivation,
+    TypeChecker,
+    Verdict,
+    check,
+    check_derivation,
+)
 from ulevels.harness import (
     GenConfig,
     PropertyReport,
-    RULES,
     SUITES,
     broken_substitution,
     gen_case,
@@ -24,7 +31,7 @@ from ulevels.harness import (
     shrink_term,
 )
 from ulevels.levels import DOMAINS, NAT_OMEGA, Finite, OmegaPlus, domain_named
-from ulevels.reduction import ParExplosion, par_reducts
+from ulevels.reduction import EvalOutcome, ParExplosion, par_reducts
 from ulevels.subst import subst1
 from ulevels.terms import App, Lam, LevelLt, Lvl, Mty, Pi, Term, Univ, Var, term_size
 import random
@@ -552,6 +559,66 @@ def test_canonicity_oracle_names_each_mismatch(value, n_ty, message):
 
 
 # ---------------------------------------------------------------------------
+# Suite branches that sound code never reaches, driven by a patched verdict
+
+PATCHED_CFG = GenConfig(seed=11, cases=8)
+STUCK = App(Mty(), Mty())
+
+
+@pytest.mark.parametrize(
+    "suite, outcome, oracle",
+    [
+        ("progress", EvalOutcome.STUCK, "closed well-typed term got stuck at"),
+        ("canonicity", EvalOutcome.STUCK, "closed term stuck at"),
+        ("canonicity", EvalOutcome.VALUE, "value of a"),
+    ],
+    ids=["progress-stuck", "canonicity-stuck", "canonicity-mismatch"],
+)
+def test_evaluation_suites_fail_a_bad_evaluation(monkeypatch, suite, outcome, oracle):
+    monkeypatch.setattr(harness, "cbn_eval", lambda t, fuel: (STUCK, outcome))
+    report = run_suite(suite, PATCHED_CFG)
+    assert len(report.failures) == PATCHED_CFG.cases
+    for i, failure in enumerate(report.failures):
+        assert failure.startswith(f"case {i}: {oracle}"), failure
+        assert repr(STUCK) in failure, failure
+
+
+@pytest.mark.parametrize("verdict", [Verdict.ACCEPTED, Verdict.UNDECIDED])
+def test_consistency_reports_what_check_says_of_bot(monkeypatch, verdict):
+    real = TypeChecker.check
+
+    def forced(self, ctx, t, ty):
+        return CheckResult(verdict) if ty == Mty() else real(self, ctx, t, ty)
+
+    monkeypatch.setattr(TypeChecker, "check", forced)
+    report = run_suite("consistency", PATCHED_CFG)
+    if verdict is Verdict.ACCEPTED:
+        assert [f.split(": ")[:2] for f in report.failures] == [
+            [f"case {i}", "closed proof of the empty type accepted"]
+            for i in range(PATCHED_CFG.cases)
+        ]
+        assert report.undecided == 0
+    else:
+        assert report.failures == ()
+        assert report.undecided == PATCHED_CFG.cases
+
+
+def test_subject_reduction_counts_each_undecided_reduct(monkeypatch):
+    # The generated terms check as usual; every reduct's check is undecided.
+    terms = [gen_case(PATCHED_CFG, i).term for i in range(PATCHED_CFG.cases)]
+    reducts = sum(len(par_reducts(t) - {t}) for t in terms)
+    real = TypeChecker.check
+
+    def check(self, ctx, t, ty):
+        return real(self, ctx, t, ty) if t in terms else CheckResult(Verdict.UNDECIDED)
+
+    monkeypatch.setattr(TypeChecker, "check", check)
+    report = run_suite("subject-reduction", PATCHED_CFG)
+    assert report.failures == () and reducts > 0
+    assert report.undecided == reducts
+
+
+# ---------------------------------------------------------------------------
 # Mutation canary
 
 CANARY_CFG = GenConfig(seed=11, cases=500, max_size=20)
@@ -568,10 +635,27 @@ def test_broken_substitution_restores_itself():
     assert subst1(Lam(Mty(), Var(1)), Var(0)) == Lam(Mty(), Var(1))
 
 
-@pytest.mark.parametrize(
-    "suite", ["subject-reduction", "diamond", "progress", "canonicity"]
-)
+# Where each suite's failures under the canary come from: its own oracle,
+# or an internal error while building the case. Evaluating a closed term
+# substitutes only closed arguments, and shifting a closed term changes
+# nothing, so progress and canonicity see the canary only when their
+# generator fails.
+CANARY_SOURCES = {
+    "subject-reduction": {"type lost after reduction": 1, "internal error": 17},
+    "diamond": {"reduct does not rejoin": 19},
+    "progress": {"internal error: GenError": 1},
+    "canonicity": {"internal error: GenError": 1},
+}
+
+
+@pytest.mark.parametrize("suite", CANARY_SOURCES)
 def test_canary_is_caught_by_each_dynamic_suite(suite):
     with broken_substitution():
         report = run_suite(suite, CANARY_CFG)
-    assert report.failures, f"{suite} missed the broken substitution"
+    sources = CANARY_SOURCES[suite]
+    # A failure from no expected source counts under its whole message.
+    found = Counter(
+        next((s for s in sources if f.split(": ", 1)[1].startswith(s)), f)
+        for f in report.failures
+    )
+    assert found == sources

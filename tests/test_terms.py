@@ -18,7 +18,6 @@ from ulevels.harness import GenCase
 from ulevels.levels import Finite, OmegaPlus
 from ulevels.reduction import (
     complete_development,
-    is_normal,
     par_reducts,
     par_step_check,
 )
@@ -317,7 +316,6 @@ TRAVERSALS = {
     "complete_development": complete_development,
     "par_reducts": par_reducts,
     "par_step_check": lambda t: par_step_check(t, t),
-    "is_normal": is_normal,
 }
 
 
