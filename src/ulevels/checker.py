@@ -16,7 +16,7 @@ universes climb. ``level_lt_check`` gives its answer once ``lo`` types
 as a level.
 
 Three outcomes everywhere: accepted, rejected, and undecided (fuel ran
-out inside conversion). Rejections carry diagnostics.
+out inside normalization). Rejections carry diagnostics.
 """
 
 from __future__ import annotations
@@ -700,6 +700,8 @@ class TypeChecker:
     conversion, cumulativity, and bound transitivity. Both dispatch on
     the term's exact class, as ``terms.children`` does: a subclass of a
     term class, or a non-term, raises TypeError. Terms compare by ``==``.
+    ``_conv`` decides conversion on memoized normal forms; the validator
+    alone calls ``reduction.convertible``.
 
     A checker is a cache scope: it keeps the derivation of every context,
     every successful inference and normal form, and the level order of
@@ -739,19 +741,12 @@ class TypeChecker:
         return out
 
     def _conv(self, a: Term, b: Term) -> bool:
-        # Equal sides are convertible and two distinct literals are not,
-        # whatever the fuel; ``convertible`` would normalize both sides
-        # to give the same answer.
-        if a == b:
-            return True
-        if type(a) is Lvl and type(b) is Lvl:
-            return False
-        verdict = convertible(a, b, self.fuel)
-        if verdict is Convertibility.UNDECIDED:
-            raise FuelError(
-                f"conversion undecided between {pretty(a)} and {pretty(b)}"
-            )
-        return verdict is Convertibility.YES
+        """Convertibility decided on the memoized normal forms (``_norm``,
+        which raises FuelError); equal sides need none. Two distinct sides
+        that run out of fuel at equal reducts are undecided here, though
+        ``reduction.convertible`` (the validator's) says YES: well-typed
+        types normalize, so no accepted judgment contains such a pair."""
+        return a == b or self._norm(a) == self._norm(b)
 
     def _order(self, ctx: Context) -> LevelOrder:
         order = self._orders.get(ctx)

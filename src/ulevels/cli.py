@@ -18,7 +18,7 @@ import sys
 from .checker import Verdict, check, derivation_to_doc
 from .harness import GenConfig, SUITES, run_suite
 from .levels import DOMAINS, LevelSyntaxError
-from .reduction import EvalOutcome, cbn_eval, pars
+from .reduction import DEFAULT_FUEL, EvalOutcome, cbn_eval, pars
 from .surface import (
     SurfaceError,
     check_module,
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--max-size", type=non_negative_int, default=14)
     p_fuzz.add_argument("--raw-size", type=non_negative_int, default=12)
     p_fuzz.add_argument("--domain", choices=sorted(DOMAINS), default="nat-omega")
-    p_fuzz.add_argument("--fuel", type=non_negative_int, default=None)
+    p_fuzz.add_argument("--fuel", type=non_negative_int, default=DEFAULT_FUEL)
     return parser
 
 
@@ -208,16 +208,15 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    kwargs = dict(
+    cfg = GenConfig(
         seed=args.seed,
         cases=args.cases,
         max_size=args.max_size,
         raw_size=args.raw_size,
         domain_name=args.domain,
+        fuel=args.fuel,
     )
-    if args.fuel is not None:
-        kwargs["fuel"] = args.fuel
-    report = run_suite(args.suite, GenConfig(**kwargs))
+    report = run_suite(args.suite, cfg)
     print(report.summary())
     return _exit_code(len(report.failures), len(report.inconclusive))
 

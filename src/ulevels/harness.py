@@ -581,6 +581,7 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
 
         reducts, fell_back = _reducts(case.term, 4000)
         tally.fallbacks += fell_back
+        undecided = False
         for u in reducts:
             if u == case.term:
                 continue
@@ -591,8 +592,10 @@ def run_subject_reduction(cfg: GenConfig) -> PropertyReport:
                     f"term {shrink_term(case.term, loses_type)!r} : {case.ty!r}"
                 )
                 break
-            if res.verdict is Verdict.UNDECIDED:
-                tally.undecided += 1
+            undecided |= res.verdict is Verdict.UNDECIDED
+        else:
+            # One undecided case, and only when no reduct lost its type.
+            tally.undecided += undecided
 
     tally.run(cfg.cases, one)
     return tally.report(cfg.cases)

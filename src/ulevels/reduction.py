@@ -7,7 +7,9 @@ it combines; past the cap ``ParExplosion`` is raised, which is no answer.
 
 Conversion is joinability: normalize both sides as far as the fuel
 allows and compare. Running out of fuel is a third verdict, distinct
-from inequality, and callers must treat it as such.
+from inequality, and callers must treat it as such. ``convertible`` is
+the validator's ``Conv`` relation; the type checker compares its own
+memoized normal forms instead.
 """
 
 from __future__ import annotations

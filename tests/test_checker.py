@@ -7,13 +7,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from ulevels import checker as checker_mod
-from ulevels import harness, levels, subst
+from ulevels import harness, levels, reduction, subst
 from ulevels.checker import (
     CheckResult,
     Derivation,
@@ -36,6 +37,7 @@ from ulevels.checker import (
 )
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
 from ulevels.reduction import Convertibility, convertible
+from ulevels.surface import check_module, parse
 from ulevels.terms import (
     Absurd,
     App,
@@ -56,6 +58,7 @@ def U(n: int) -> Univ:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CORPUS = SRC.parent / "corpus"
 OMEGA = Lvl(OmegaPlus(0))
 U_OMEGA = Univ(OMEGA)
 premises = attrgetter("premises")
@@ -228,6 +231,27 @@ def test_climb_types_an_absurd_level_before_reading_its_bound():
 
 def test_climb_stops_at_a_variable_out_of_scope():
     assert not TypeChecker().level_below((), Var(3), Lvl(Finite(5)))
+
+
+def test_climb_is_undecided_when_a_bound_runs_out_of_fuel(monkeypatch):
+    # #0 : Level< absurd [Level< 3] #1 and the absurd level is below 3,
+    # so #0 : Level< 5 climbs through the absurd level's inferred bound.
+    # When that inference runs out of fuel the climb is undecided: it
+    # must not stop as though the level had no bound.
+    lo = Absurd(LevelLt(Lvl(Finite(3))), Var(0))
+    ctx, goal = (Mty(), LevelLt(lo)), LevelLt(Lvl(Finite(5)))
+    accepted(ctx, Var(0), goal)
+    infer_level = TypeChecker.infer_level
+
+    def out_of_fuel(self, at, t):
+        # The context's own typing infers ``lo`` one entry earlier.
+        if at == ctx and isinstance(t, Absurd):
+            raise FuelError("bound out of fuel")
+        return infer_level(self, at, t)
+
+    monkeypatch.setattr(TypeChecker, "infer_level", out_of_fuel)
+    res = check(ctx, Var(0), goal)
+    assert (res.verdict, res.message) == (Verdict.UNDECIDED, "bound out of fuel")
 
 
 def test_climb_from_a_literal_yields_its_successors():
@@ -608,7 +632,7 @@ def test_conversion_in_expected_type():
 
 def _early_conversions():
     # Equal but separately built sides, one of them out of fuel.
-    for build in (lambda: U(2), lambda: Pi(U(0), Var(0)), lambda: LOOP):
+    for build in (lambda: U(2), lambda: Pi(U(0), Var(0)), lambda: App(*LOOP)):
         yield NAT_OMEGA, build(), build()
     yield NAT_OMEGA, LOOP, LOOP
     # Literal pairs in both shipped domains.
@@ -620,21 +644,97 @@ def _early_conversions():
                 yield domain, Lvl(a), Lvl(b)
 
 
-def test_conv_answers_equal_sides_and_literals_as_convertible_does(monkeypatch):
-    fuel = 5
-    cases = [
-        (domain, a, b, convertible(a, b, fuel))
-        for domain, a, b in _early_conversions()
-    ]
+def _conv_pairs_met(monkeypatch, cases: int) -> set:
+    """``(domain, fuel, a, b)`` for every ``_conv`` the checker makes
+    while generating ``cases`` cases per shipped domain (seed 3)."""
+    pairs = set()
+    conv = TypeChecker._conv
 
-    def unexpected(*args):
-        raise AssertionError("convertible called on an early answer")
+    def recorded(self, a, b):
+        pairs.add((self.domain, self.fuel, a, b))
+        return conv(self, a, b)
 
-    monkeypatch.setattr(checker_mod, "convertible", unexpected)
-    for domain, a, b, expected in cases:
-        assert expected is not Convertibility.UNDECIDED
-        tc = TypeChecker(domain, fuel)
-        assert tc._conv(a, b) is (expected is Convertibility.YES), (a, b)
+    with monkeypatch.context() as m:
+        m.setattr(TypeChecker, "_conv", recorded)
+        for name in ("nat-omega", "nat"):
+            cfg = harness.GenConfig(seed=3, cases=cases, domain_name=name)
+            for i in range(cases):
+                harness.gen_case(cfg, i)
+    return pairs
+
+
+def test_conv_agrees_with_convertible_where_it_is_decided(monkeypatch):
+    # The checker compares its memoized normal forms, the validator calls
+    # ``convertible``: over every pair the checker meets, and over equal
+    # sides and literal pairs, the two answer alike.
+    met = _conv_pairs_met(monkeypatch, 1000)
+    assert len(met) == 710
+    early = {(domain, 5, a, b) for domain, a, b in _early_conversions()}
+    answers = Counter()
+    for domain, fuel, a, b in met | early:
+        verdict = convertible(a, b, fuel)
+        if verdict is not Convertibility.UNDECIDED:
+            got = TypeChecker(domain, fuel)._conv(a, b)
+            assert got is (verdict is Convertibility.YES), (a, b)
+        answers[verdict] += 1
+    assert answers[Convertibility.YES] > 100 and answers[Convertibility.NO] > 100
+    assert answers[Convertibility.UNDECIDED] == 0
+
+
+def test_conv_is_undecided_where_both_sides_run_out_at_equal_reducts():
+    # Distinct sides whose reducts are equal when the fuel runs out:
+    # ``convertible`` says YES, the checker wants normal forms. Well-typed
+    # types normalize, so no accepted judgment meets such a pair.
+    delayed = App(Lam(U(0), LOOP), Lvl(Finite(0)))
+    assert convertible(LOOP, delayed, 5) is Convertibility.YES
+    with pytest.raises(FuelError, match="^normalization ran out of fuel on "):
+        TypeChecker(NAT_OMEGA, 5)._conv(LOOP, delayed)
+
+
+def _verdicts_and_derivations() -> tuple[list, list]:
+    """What ``check_module`` says of each corpus definition and what
+    ``gen_case`` makes of a seeded sample in each shipped domain, and
+    every derivation the checker's ``check`` accepted on the way."""
+    derivations = []
+    real = TypeChecker.check
+
+    def recorded(self, ctx, t, ty):
+        res = real(self, ctx, t, ty)
+        if res.derivation is not None:
+            derivations.append((res.derivation, self.domain))
+        return res
+
+    verdicts = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(TypeChecker, "check", recorded)
+        for path in sorted(CORPUS.glob("*.ttbfl")):
+            report = check_module(parse(path.read_text(encoding="utf-8")))
+            verdicts += [(e.name, e.verdict, e.message) for e in report.entries]
+        for name in ("nat-omega", "nat"):
+            cfg = harness.GenConfig(seed=41, cases=150, domain_name=name)
+            for i in range(cfg.cases):
+                case = harness.gen_case(cfg, i)
+                verdicts.append((case.ctx, case.term, case.ty))
+    return verdicts, derivations
+
+
+def test_the_typing_core_never_calls_convertible(monkeypatch):
+    # ``convertible`` is the validator's; the checker decides conversion
+    # on its own normal forms, so the verdicts hold without it and the
+    # validator, calling it, still accepts what the checker emitted.
+    want, _ = _verdicts_and_derivations()
+
+    def refused(*args):
+        raise AssertionError("the typing core called convertible")
+
+    with monkeypatch.context() as m:
+        m.setattr(checker_mod, "convertible", refused)
+        m.setattr(reduction, "convertible", refused)
+        got, derivations = _verdicts_and_derivations()
+    assert got == want and len(got) == 38 + 2 * 150  # corpus definitions, cases
+    assert len(derivations) == 25 + 2 * 150  # accepted definitions, cases
+    for d, domain in derivations:
+        assert check_derivation(d, domain).ok
 
 
 def test_conv_still_runs_out_of_fuel_on_distinct_sides():

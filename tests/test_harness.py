@@ -385,8 +385,9 @@ def test_emitted_derivations_are_pinned(domain_name):
 
 
 def test_subject_reduction_conversions_and_lookups_are_counted(monkeypatch):
-    # Equal sides and literal pairs are decided without normalizing,
-    # and the generators read each context's types once per call.
+    # The checker decides conversion on its own normal forms, never by
+    # ``convertible``, and the generators read each context's types once
+    # per call.
     counts = Counter()
     convertible, ctx_lookup = checker_mod.convertible, subst.ctx_lookup
 
@@ -402,7 +403,7 @@ def test_subject_reduction_conversions_and_lookups_are_counted(monkeypatch):
     monkeypatch.setattr(subst, "ctx_lookup", counted_lookup)
     report = run_suite("subject-reduction", GenConfig(seed=7, cases=200))
     assert report.digest == PINNED_SUMMARIES["subject-reduction"]
-    assert counts["convertible"] <= 111, counts
+    assert counts["convertible"] == 0, counts
     assert counts["ctx_lookup"] <= 1261, counts
 
 
@@ -603,19 +604,34 @@ def test_consistency_reports_what_check_says_of_bot(monkeypatch, verdict):
         assert report.undecided == PATCHED_CFG.cases
 
 
-def test_subject_reduction_counts_each_undecided_reduct(monkeypatch):
-    # The generated terms check as usual; every reduct's check is undecided.
-    terms = [gen_case(PATCHED_CFG, i).term for i in range(PATCHED_CFG.cases)]
-    reducts = sum(len(par_reducts(t) - {t}) for t in terms)
-    real = TypeChecker.check
+def test_subject_reduction_counts_each_undecided_case(monkeypatch):
+    # Each case generates as usual, and then every check of a reduct is
+    # undecided, except that the last reduct of case 36 is rejected:
+    # that case is a failure only, and every other case with a reduct is
+    # undecided once, however many reducts it has.
+    cfg = GenConfig(seed=11, cases=40)
+    steps = [
+        [u for u in par_reducts(t) if u != t]
+        for t in (gen_case(cfg, i).term for i in range(cfg.cases))
+    ]
+    assert [i for i, us in enumerate(steps) if len(us) > 1] == [24, 36]
+    lost = steps[36][-1]
+    generate = harness.gen_case
 
-    def check(self, ctx, t, ty):
-        return real(self, ctx, t, ty) if t in terms else CheckResult(Verdict.UNDECIDED)
+    def gen_then_force(cfg, index, domain=None, closed=False, *, tc):
+        case = generate(cfg, index, domain, closed, tc=tc)
+        tc.check = lambda ctx, t, ty: CheckResult(
+            Verdict.REJECTED if t == lost else Verdict.UNDECIDED
+        )
+        return case
 
-    monkeypatch.setattr(TypeChecker, "check", check)
-    report = run_suite("subject-reduction", PATCHED_CFG)
-    assert report.failures == () and reducts > 0
-    assert report.undecided == reducts
+    monkeypatch.setattr(harness, "gen_case", gen_then_force)
+    report = run_suite("subject-reduction", cfg)
+    assert [f.split(";")[0] for f in report.failures] == [
+        "case 36: type lost after reduction"
+    ]
+    assert sum(map(len, steps)) == 14
+    assert report.undecided == sum(1 for us in steps if us) - 1 == 11
 
 
 # ---------------------------------------------------------------------------
