@@ -695,9 +695,9 @@ def _trans(d_lo: Derivation, d_hi: Derivation) -> Derivation:
 class TypeChecker:
     """Bidirectional checker emitting derivations.
 
-    ``infer`` synthesizes a type; ``check`` pushes an expected type into
-    introduction forms and otherwise subsumes the inferred type through
-    conversion, cumulativity, and bound transitivity. Both dispatch on
+    ``infer`` synthesizes a type; ``check`` builds an introduction node
+    at the expected type's head where one applies, else infers, and then
+    takes one subsumption step (Conv, Cumul or Trans). Both dispatch on
     the term's exact class, as ``terms.children`` does: a subclass of a
     term class, or a non-term, raises TypeError. Terms compare by ``==``.
     ``_conv`` decides conversion on memoized normal forms; the validator
@@ -916,21 +916,6 @@ class TypeChecker:
             why = f"level bound not established: {pretty(a)} below {pretty(b)}"
         return TypingError(why)
 
-    def _cumul_to(self, d: Derivation, target_level: Term) -> Derivation:
-        """Lift d : A : U k to A : U target_level."""
-        assert isinstance(d.ty, Univ)
-        k = d.ty.level
-        if self._conv(k, target_level):
-            return self._conv_to(d, Univ(target_level))
-        nk = self._norm(k)
-        nt = self._norm(target_level)
-        d_lt = self._derive_level_below(d.ctx, nk, nt)
-        d_at_nk = self._conv_to(d, Univ(nk))
-        lifted = Derivation(
-            "Cumul", d.ctx, d.term, Univ(nt), (d_at_nk, d_lt)
-        )
-        return self._conv_to(lifted, Univ(target_level))
-
     def _type_at(self, ctx: Context, t: Mty | LevelLt, level: Term) -> Derivation:
         """Derivation of ``t : U level`` for ``Bot`` or ``Level< bound``,
         which live in every universe: the premise types ``U level`` and,
@@ -949,7 +934,7 @@ class TypeChecker:
         ty = Pi(t.ann, d_body.ty)
         k_pi, d_pi = self.infer_universe(ctx, ty)
         return Derivation(
-            "Lam", ctx, t, ty, (self._cumul_to(d_ann, k_pi), d_pi, d_body)
+            "Lam", ctx, t, ty, (self._subsume(d_ann, Univ(k_pi)), d_pi, d_body)
         )
 
     # -- universe joining (for Pi and Lam)
@@ -1061,8 +1046,8 @@ class TypeChecker:
             k_cod, d_cod = self.infer_universe(ctx2, cod)
             k_cod0 = self._strengthen_level(ctx2, k_cod)
             k = self._join_levels(ctx, self._norm(k_dom), k_cod0)
-            d_dom2 = self._cumul_to(d_dom, k)
-            d_cod2 = self._cumul_to(d_cod, subst.shift(k, 1, 0))
+            d_dom2 = self._subsume(d_dom, Univ(k))
+            d_cod2 = self._subsume(d_cod, Univ(subst.shift(k, 1, 0)))
             ty = Univ(k)
             d = Derivation("Pi", ctx, t, ty, (d_dom2, d_cod2))
         elif cls is Var:
@@ -1110,6 +1095,11 @@ class TypeChecker:
         return _result(self._check, ctx, t, expected)
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:
+        """Derivation of ``t : expected``: an introduction node at the head
+        of ``expected`` where one applies (``U``, ``Level<``, ``Bot`` or
+        Pi in a universe, a literal below a literal, ``fun`` at a Pi),
+        else ``t`` inferred; then one subsumption step, ``_conv_to`` for
+        the former and ``_subsume`` for the latter."""
         head = self._whnf(expected)
         cls, head_cls = type(t), type(head)
         if head_cls is Univ:
@@ -1150,7 +1140,7 @@ class TypeChecker:
             _, d_ann = self.infer_universe(ctx, ann)
             d_body = self._check(subst.ctx_extend(ctx, ann), body, cod)
             return self._conv_to(self._lam(t, d_ann, d_body), expected)
-        return self._subsume(ctx, t, expected)
+        return self._subsume(self.infer(ctx, t)[1], expected)
 
     def _premise(self, ctx: Context, t: Term, expected: Term, what: str) -> Derivation:
         """``_check`` of a premise whose rejection names the premise."""
@@ -1161,27 +1151,28 @@ class TypeChecker:
         except TypingError as e:
             raise TypingError(f"{what}: {e}") from None
 
-    def _subsume(self, ctx: Context, t: Term, expected: Term) -> Derivation:
-        actual, d = self.infer(ctx, t)
-        if self._conv(actual, expected):
-            return self._conv_to(d, expected)
-        n_actual = self._norm(actual)
-        n_expected = self._norm(expected)
+    def _subsume(self, d: Derivation, target: Term) -> Derivation:
+        """Reuse ``d`` at ``target``: Conv when the types are convertible,
+        else Cumul from ``U k`` to ``U j`` or Trans from ``Level< a`` to
+        ``Level< b``, built at the normalized target over ``d`` at its
+        normalized type and a derivation that the lower level is below
+        the higher, then converted to ``target``."""
+        if self._conv(d.ty, target):
+            return self._conv_to(d, target)
+        n_actual, n_target = self._norm(d.ty), self._norm(target)
         cls = type(n_actual)
-        if cls is type(n_expected):
-            if cls is LevelLt:
-                # Parts of a normal form are normal.
-                ((lo,), (hi,)) = n_actual, n_expected
-                d_at = self._conv_to(d, n_actual)
-                d_hi = self._derive_level_below(ctx, lo, hi)
-                return self._conv_to(_trans(d_at, d_hi), expected)
+        if cls is type(n_target) and (cls is Univ or cls is LevelLt):
+            # Parts of a normal form are normal.
+            ((lo,), (hi,)) = n_actual, n_target
+            d_at = self._conv_to(d, n_actual)
+            d_lt = self._derive_level_below(d.ctx, lo, hi)
             if cls is Univ:
-                (target,) = n_expected
-                d_at = self._conv_to(d, n_actual)
-                lifted = self._cumul_to(d_at, target)
-                return self._conv_to(lifted, expected)
+                lifted = Derivation("Cumul", d.ctx, d.term, n_target, (d_at, d_lt))
+            else:
+                lifted = _trans(d_at, d_lt)
+            return self._conv_to(lifted, target)
         raise TypingError(
-            f"type mismatch: expected {pretty(expected)}, got {pretty(actual)}"
+            f"type mismatch: expected {pretty(target)}, got {pretty(d.ty)}"
         )
 
     def check_context(self, ctx: Context) -> CheckResult:

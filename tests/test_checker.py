@@ -57,6 +57,10 @@ def U(n: int) -> Univ:
     return Univ(Lvl(Finite(n)))
 
 
+def L(n: int) -> LevelLt:
+    return LevelLt(Lvl(Finite(n)))
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORPUS = SRC.parent / "corpus"
 OMEGA = Lvl(OmegaPlus(0))
@@ -231,6 +235,33 @@ def test_climb_types_an_absurd_level_before_reading_its_bound():
 
 def test_climb_stops_at_a_variable_out_of_scope():
     assert not TypeChecker().level_below((), Var(3), Lvl(Finite(5)))
+
+
+# What check mode says when its last step fails: a type of another head,
+# or a level not below the target's, for a literal (the Lvl rule) or in
+# the level premise of a Cumul or Trans.
+SUBSUMPTION_REJECTIONS = [
+    ((), Lvl(Finite(0)), U(0), "type mismatch: expected U 0, got Level< 1"),
+    ((), U(0), L(3), "type mismatch: expected Level< 3, got U 1"),
+    ((), Mty(), L(3), "type mismatch: expected Level< 3, got U 0"),
+    ((), U(5), U(0), "level bound fails: 5 is not below 0"),
+    ((), Lvl(Finite(5)), L(2), "level bound fails: 5 is not below 2"),
+    ((), Pi(U(0), U(0)), U(0), "level bound fails: 0 is not below 0"),
+    ((U(5),), Var(0), U(0), "level bound fails: 5 is not below 0"),
+    ((LevelLt(OMEGA),), Var(0), L(3), "level bound fails: omega is not below 3"),
+    ((LevelLt(OMEGA),), Univ(Var(0)), U(3), "level bound fails: omega is not below 3"),
+    (
+        (LevelLt(OMEGA), LevelLt(OMEGA)),
+        Var(0),
+        LevelLt(Var(1)),
+        "level bound not established: omega below ?1",
+    ),
+]
+
+
+@pytest.mark.parametrize("ctx, t, ty, message", SUBSUMPTION_REJECTIONS)
+def test_subsumption_rejections_name_the_failed_step(ctx, t, ty, message):
+    assert rejected(ctx, t, ty) == message
 
 
 def test_climb_is_undecided_when_a_bound_runs_out_of_fuel(monkeypatch):
@@ -668,7 +699,7 @@ def test_conv_agrees_with_convertible_where_it_is_decided(monkeypatch):
     # ``convertible``: over every pair the checker meets, and over equal
     # sides and literal pairs, the two answer alike.
     met = _conv_pairs_met(monkeypatch, 1000)
-    assert len(met) == 710
+    assert len(met) == 729
     early = {(domain, 5, a, b) for domain, a, b in _early_conversions()}
     answers = Counter()
     for domain, fuel, a, b in met | early:
@@ -752,6 +783,17 @@ def test_conv_to_refuses_an_inconvertible_type():
     mismatch = "^type mismatch: expected U 0, got Level< 1$"
     with pytest.raises(TypingError, match=mismatch):
         tc._conv_to(d, U(0))
+
+
+def test_premise_that_runs_out_of_fuel_stays_undecided():
+    # The argument #0 has a type that takes one beta step to reach U 0;
+    # at fuel 0 the argument premise is undecided, not a mismatch.
+    ctx = (App(Lam(U(1), Var(0)), U(0)),)
+    res = check(ctx, App(Lam(U(0), Var(0)), Var(0)), U(0), NAT_OMEGA, 0)
+    assert (res.verdict, res.message) == (
+        Verdict.UNDECIDED,
+        "normalization ran out of fuel on (fun (x : U 1) . x) (U 0)",
+    )
 
 
 def _beta(ann: Term, arg: Term) -> Term:

@@ -479,11 +479,13 @@ AFTER = "def after : U 1 := U 0\n"
     [
         ("def parens : U 1 := " + "(" * 400 + "U 0" + ")" * 400 + "\n", False),
         ("def bounds : U 0 := " + "Level< " * 600 + "0\n", True),
+        # Checking a nested argument takes no more stack than parsing
+        # it, so the parser is the first to give out.
         (
             "def idt : Bot -> Bot := fun (x : Bot) . x\n"
             "def apps : Bot -> Bot := fun (b : Bot) . "
-            + "idt (" * 300 + "b" + ")" * 300 + "\n",
-            True,
+            + "idt (" * 600 + "b" + ")" * 600 + "\n",
+            False,
         ),
         ("def binders : U 1 := " + "Pi (a : U 0) . " * 500 + "a\n", False),
     ],

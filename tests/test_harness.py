@@ -13,6 +13,7 @@ from ulevels.checker import (
     RULES,
     CheckResult,
     Derivation,
+    FuelError,
     TypeChecker,
     Verdict,
     check,
@@ -20,6 +21,7 @@ from ulevels.checker import (
 )
 from ulevels.harness import (
     GenConfig,
+    GenError,
     PropertyReport,
     SUITES,
     broken_substitution,
@@ -272,6 +274,40 @@ def test_fuel_exhaustion_is_undecided_not_a_failure(suite):
     report = run_suite(suite, GenConfig(seed=0, cases=50, fuel=0))
     assert report.failures == (), report.summary()
     assert report.undecided > 0
+
+
+def test_gen_case_lets_running_out_of_fuel_in_inference_through(monkeypatch):
+    # Only gen_case's own inference of the generated term runs out; the
+    # generator's inferences of redex arguments run as usual.
+    infer = TypeChecker.infer
+
+    def out_of_fuel(self, ctx, t):
+        if sys._getframe(1).f_code is gen_case.__code__:
+            raise FuelError("inference out of fuel")
+        return infer(self, ctx, t)
+
+    monkeypatch.setattr(TypeChecker, "infer", out_of_fuel)
+    cfg = GenConfig(seed=0, cases=10)
+    with pytest.raises(FuelError, match="^inference out of fuel$"):
+        gen_case(cfg, 0)
+    report = run_suite("progress", cfg)
+    assert (report.failures, report.undecided) == ((), cfg.cases)
+
+
+def test_gen_case_raises_gen_error_on_a_rejected_judgment(monkeypatch):
+    def rejects(self, ctx, t, ty):
+        return CheckResult(Verdict.REJECTED, "forced")
+
+    monkeypatch.setattr(TypeChecker, "check", rejects)
+    cfg = GenConfig(seed=0, cases=3)
+    rejected = "case {}: generated judgment rejected: forced"
+    with pytest.raises(GenError, match=f"^{rejected.format(0)}$"):
+        gen_case(cfg, 0)
+    report = run_suite("progress", cfg)
+    assert report.failures == tuple(
+        f"case {i}: internal error: GenError('{rejected.format(i)}')"
+        for i in range(cfg.cases)
+    )
 
 
 def test_subject_reduction_counts_its_fallbacks(monkeypatch):
