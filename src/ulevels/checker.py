@@ -2,10 +2,14 @@
 infer/check pair that emits derivations.
 
 The derivation checker is the ground truth: it validates each node
-against exactly one rule, first the rule's shape, read from one table
-(``_SHAPES``), then the rule's relations between the node's parts. The
-algorithmic checker is sound against it (every acceptance carries a
-derivation that validates) but makes no completeness claim;
+against exactly one rule. Each rule is stated once, in one table
+(``_RULES``): its shape, then its checks in order. A check is a group
+of equations between the node's parts, compared as two tuples at once
+(``p0.term = t.fn`` reads "premise 0's subject is the subject's
+function"), or a named predicate: the ``Var`` lookup, the ``Lvl`` side
+condition, ``Conv``'s convertibility. The algorithmic checker is sound against it
+(every acceptance carries a derivation that validates) but makes no
+completeness claim;
 transitivity and cumulativity are not syntax directed, so it decides
 ``a : Level< b`` with one bounded search that normalizes, climbs the
 bounds above ``a`` a capped number of times, and at each level
@@ -22,6 +26,7 @@ out inside normalization). Rejections carry diagnostics.
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -240,44 +245,121 @@ class _Premise(NamedTuple):
     typing: bool = True
 
 
-class _Shape(NamedTuple):
-    """The form of a rule: whether it concludes a typing judgment
-    (context judgments have no subject and no type), the classes of its
-    subject and type (None: any term), and its premises."""
+class _Rule(NamedTuple):
+    """A rule: whether it concludes a typing judgment (context judgments
+    have no subject and no type), the classes of its subject and type
+    (None: any term), its premises, and its checks, made in order on a
+    node of this shape."""
 
     typing: bool
     subject: type | None = None
     ty: type | None = None
     premises: tuple[_Premise, ...] = ()
+    checks: tuple = ()
 
 
 _CTX = _Premise(typing=False)
 
+# Premise i, ``pi`` in an equation, is ``ps[i]``.
+_PREMISE = re.compile(r"\bp(\d)\b")
 
-# The rules of the system, one shape each. A premise sits in the
-# conclusion's context; a context judgment's premises sit in its prefix,
-# and a binder premise (``binder=True``) in the context extended by the
-# binder's type, the subject's first field (``Pi.dom``, ``Lam.ann``).
-_SHAPES: dict[str, _Shape] = {
-    "Nil": _Shape(False),
-    "Cons": _Shape(False, premises=(_CTX, _Premise(Univ))),
-    "Var": _Shape(True, Var, None, (_CTX,)),
-    "Pi": _Shape(True, Pi, Univ, (_Premise(Univ), _Premise(Univ, binder=True))),
-    "Lam": _Shape(
-        True, Lam, Pi, (_Premise(Univ), _Premise(Univ), _Premise(binder=True))
-    ),
-    "App": _Shape(True, App, None, (_Premise(Pi), _Premise())),
-    "Mty": _Shape(True, Mty, Univ, (_Premise(Univ),)),
-    "Abs": _Shape(True, Absurd, None, (_Premise(Univ), _Premise(Mty))),
-    "Conv": _Shape(True, None, None, (_Premise(), _Premise(Univ))),
-    "Univ": _Shape(True, Univ, Univ, (_Premise(LevelLt),)),
-    "LevelLt": _Shape(True, LevelLt, Univ, (_Premise(Univ), _Premise(LevelLt))),
-    "Lvl": _Shape(True, Lvl, LevelLt, (_CTX,)),
-    "Trans": _Shape(True, None, LevelLt, (_Premise(LevelLt), _Premise(LevelLt))),
-    "Cumul": _Shape(True, None, Univ, (_Premise(Univ), _Premise(LevelLt))),
+
+def _equations(message: str, *equations: str):
+    """A check that each ``left = right`` holds, ``=`` being ``==``
+    (alpha-equivalence on de Bruijn syntax); the lefts and the rights are
+    compared as two tuples at once. It keeps its text as ``.equations``."""
+    left, right = (
+        _PREMISE.sub(r"ps[\1]", ", ".join(side))
+        for side in zip(*(eq.split(" = ") for eq in equations))
+    )
+    check = eval(  # the table's own text, compiled once
+        f"lambda ctx, t, ty, ps, domain, fuel: "
+        f"None if ({left},) == ({right},) else {message!r}",
+        globals(),
+    )
+    check.equations = equations
+    return check
+
+
+# The checks that are not equations. Each takes a node's parts and
+# returns what fails, the message after the rule's name, or None.
+
+
+def _var_lookup(ctx, t, ty, ps, domain, fuel) -> str | None:
+    if not 0 <= t.ix < len(ctx):
+        return "index out of scope"
+    if subst.ctx_lookup(ctx, t.ix) != ty:
+        return "type differs from the context entry"
+    return None
+
+
+def _lvl_order(ctx, t, ty, ps, domain, fuel) -> str | None:
+    if not isinstance(ty.bound, Lvl):
+        return "bound must be a literal"
+    i, j = t.value, ty.bound.value
+    if not (domain.contains(i) and domain.contains(j)):
+        return "level outside the domain"
+    return None if domain.lt(i, j) else "i < j fails"
+
+
+def _conversion(ctx, t, ty, ps, domain, fuel) -> str | None:
+    verdict = convertible(ps[0].ty, ty, fuel)
+    if verdict is Convertibility.NO:
+        return "types are not convertible"
+    if verdict is Convertibility.UNDECIDED:
+        return "conversion undecided within fuel"
+    return None
+
+
+# The rules of the system, each stated once: its shape, then its checks.
+# A premise sits in the conclusion's context; a context judgment's
+# premises sit in its prefix, and a binder premise (``binder=True``) in
+# the context extended by the binder's type, the subject's first field
+# (``Pi.dom``, ``Lam.ann``). In a check, ``t`` and ``ty`` are the
+# node's subject and type, and ``pi`` its premise i.
+_RULES: dict[str, _Rule] = {
+    "Nil": _Rule(False, checks=(_equations("context must be empty", "ctx = ()"),)),
+    "Cons": _Rule(False, premises=(_CTX, _Premise(Univ)), checks=(
+        _equations("entry must be typed in the prefix", "ctx[-1:] = (p1.term,)"),)),
+    "Var": _Rule(True, Var, None, (_CTX,), (_var_lookup,)),
+    "Pi": _Rule(True, Pi, Univ, (_Premise(Univ), _Premise(Univ, binder=True)), (
+        _equations("domain and codomain must share the universe",
+                   "p0.term = t.dom", "p0.ty.level = ty.level",
+                   "p1.term = t.cod", "p1.ty.level = subst.shift(ty.level, 1, 0)"),)),
+    "Lam": _Rule(True, Lam, Pi, (_Premise(Univ), _Premise(Univ), _Premise(binder=True)), (
+        _equations("annotation differs from the domain", "t.ann = ty.dom"),
+        _equations("premises disagree with the conclusion",
+                   "p0.term = t.ann", "p1.term = ty", "p0.ty.level = p1.ty.level",
+                   "p2.term = t.body", "p2.ty = ty.cod"))),
+    "App": _Rule(True, App, None, (_Premise(Pi), _Premise()), (
+        _equations("instantiated codomain mismatch",
+                   "p0.term = t.fn", "p1.term = t.arg",
+                   "p1.ty = p0.ty.dom", "ty = subst.subst1(p0.ty.cod, t.arg)"),)),
+    "Mty": _Rule(True, Mty, Univ, (_Premise(Univ),), (
+        _equations("premise must type the target universe", "p0.term = ty"),)),
+    "Abs": _Rule(True, Absurd, None, (_Premise(Univ), _Premise(Mty)), (
+        _equations("annotation or scrutinee premise mismatch",
+                   "ty = t.ann", "p0.term = t.ann", "p1.term = t.scrut"),)),
+    "Conv": _Rule(True, None, None, (_Premise(), _Premise(Univ)), (
+        _equations("premises disagree with the conclusion",
+                   "p0.term = t", "p1.term = ty"),
+        _conversion)),
+    "Univ": _Rule(True, Univ, Univ, (_Premise(LevelLt),), (
+        _equations("level premise must bound the index",
+                   "p0.term = t.level", "p0.ty.bound = ty.level"),)),
+    "LevelLt": _Rule(True, LevelLt, Univ, (_Premise(Univ), _Premise(LevelLt)), (
+        _equations("premises must type the universe and the bound",
+                   "p0.term = ty", "p1.term = t.bound"),)),
+    "Lvl": _Rule(True, Lvl, LevelLt, (_CTX,), (_lvl_order,)),
+    "Trans": _Rule(True, None, LevelLt, (_Premise(LevelLt), _Premise(LevelLt)), (
+        _equations("middle bound must match both premises",
+                   "p0.term = t", "p1.term = p0.ty.bound", "p1.ty.bound = ty.bound"),)),
+    "Cumul": _Rule(True, None, Univ, (_Premise(Univ), _Premise(LevelLt)), (
+        _equations("level premise must lift to the target universe",
+                   "p0.term = t", "p1.term = p0.ty.level", "p1.ty.bound = ty.level"),)),
 }
 
-RULES = tuple(_SHAPES)
+RULES = tuple(_RULES)
 
 
 def _shape_error(
@@ -289,10 +371,10 @@ def _shape_error(
 ) -> str | None:
     """How a node, given by its fields, departs from the shape of its
     rule, or None."""
-    shape = _SHAPES.get(r)
-    if shape is None:
+    rule = _RULES.get(r)
+    if rule is None:
         return f"{r}: unknown rule"
-    typing, subject, ty_class, wanted = shape
+    typing, subject, ty_class, wanted, _ = rule
     if not typing:
         if term is not None or ty is not None:
             return f"{r}: not a typing judgment"
@@ -309,7 +391,7 @@ def _shape_error(
     for i, p in enumerate(ps):
         p_class, binder, p_typing = wanted[i]
         p_rule, p_ctx, p_term, p_ty, _ = p
-        kind = _SHAPES.get(p_rule)
+        kind = _RULES.get(p_rule)
         if kind is None or kind.typing != p_typing:
             judgment = "typing" if p_typing else "context"
             return f"{r}: premises[{i}] must be a {judgment} judgment"
@@ -323,119 +405,31 @@ def _shape_error(
     return None
 
 
-def _relation_error(
-    r: str,
-    ctx: Context,
-    t: Term,
-    ty: Term,
-    ps: tuple[Derivation, ...],
-    domain: LevelDomain,
-    fuel: int,
-) -> str | None:
-    """Which relation between the parts of a node, given by its fields,
-    fails, or None; the node has the shape of its rule. Most relations
-    are equalities, parts of the premises on the left and what they must
-    equal on the right; ``==`` is alpha-equivalence on de Bruijn syntax.
-    Each premise is unpacked once, to its subject and type."""
-    if r == "Nil":
-        if ctx != ():
-            return "Nil: context must be empty"
-    elif r == "Cons":
-        _, (_, _, entry, _, _) = ps
-        if ctx == () or entry != ctx[-1]:
-            return "Cons: entry must be typed in the prefix"
-    elif r == "Var":
-        try:
-            entry = subst.ctx_lookup(ctx, t.ix)
-        except IndexError:
-            return "Var: index out of scope"
-        if entry != ty:
-            return "Var: type differs from the context entry"
-    elif r == "Lvl":
-        if not isinstance(ty.bound, Lvl):
-            return "Lvl: bound must be a literal"
-        i, j = t.value, ty.bound.value
-        if not (domain.contains(i) and domain.contains(j)):
-            return "Lvl: level outside the domain"
-        if not domain.lt(i, j):
-            return "Lvl: i < j fails"
-    elif r == "Pi":
-        (_, _, dom, dom_ty, _), (_, _, cod, cod_ty, _) = ps
-        if (dom, dom_ty.level, cod, cod_ty.level) != (
-            t.dom, ty.level, t.cod, subst.shift(ty.level, 1, 0)
-        ):
-            return "Pi: domain and codomain must share the universe"
-    elif r == "Lam":
-        if t.ann != ty.dom:
-            return "Lam: annotation differs from the domain"
-        (_, _, dom, dom_ty, _), (_, _, pi, pi_ty, _), (_, _, body, body_ty, _) = ps
-        if (dom, pi, dom_ty.level, body, body_ty) != (
-            t.ann, ty, pi_ty.level, t.body, ty.cod
-        ):
-            return "Lam: premises disagree with the conclusion"
-    elif r == "App":
-        (_, _, fn, fn_ty, _), (_, _, arg, arg_ty, _) = ps
-        if (fn, arg, arg_ty, ty) != (
-            t.fn, t.arg, fn_ty.dom, subst.subst1(fn_ty.cod, t.arg)
-        ):
-            return "App: instantiated codomain mismatch"
-    elif r == "Mty":
-        ((_, _, univ, _, _),) = ps
-        if univ != ty:
-            return "Mty: premise must type the target universe"
-    elif r == "Abs":
-        (_, _, ann, _, _), (_, _, prf, _, _) = ps
-        if (ty, ann, prf) != (t.ann, t.ann, t.scrut):
-            return "Abs: annotation or scrutinee premise mismatch"
-    elif r == "Conv":
-        (_, _, subj, subj_ty, _), (_, _, target, _, _) = ps
-        if (subj, target) != (t, ty):
-            return "Conv: premises disagree with the conclusion"
-        verdict = convertible(subj_ty, ty, fuel)
-        if verdict is Convertibility.NO:
-            return "Conv: types are not convertible"
-        if verdict is Convertibility.UNDECIDED:
-            return "Conv: conversion undecided within fuel"
-    elif r == "Univ":
-        ((_, _, level, level_ty, _),) = ps
-        if (level, level_ty.bound) != (t.level, ty.level):
-            return "Univ: level premise must bound the index"
-    elif r == "LevelLt":
-        (_, _, univ, _, _), (_, _, bound, _, _) = ps
-        if (univ, bound) != (ty, t.bound):
-            return "LevelLt: premises must type the universe and the bound"
-    elif r == "Trans":
-        (_, _, lo, lo_ty, _), (_, _, hi, hi_ty, _) = ps
-        if (lo, hi, hi_ty.bound) != (t, lo_ty.bound, ty.bound):
-            return "Trans: middle bound must match both premises"
-    elif r == "Cumul":
-        (_, _, subj, subj_ty, _), (_, _, lt, lt_ty, _) = ps
-        if (subj, lt, lt_ty.bound) != (t, subj_ty.level, ty.level):
-            return "Cumul: level premise must lift to the target universe"
-    return None
-
-
 def check_derivation(
     d: Derivation,
     domain: LevelDomain = NAT_OMEGA,
     fuel: int = DEFAULT_FUEL,
 ) -> DerivationReport:
-    """Validate every node of ``d``, premises first: its shape against
-    its rule's entry in ``_SHAPES``, then the relations between its
-    parts. An error names the node by its ``premises[i]`` path."""
+    """Validate every node of ``d``, premises first, against its entry
+    in ``_RULES``: its shape, then each of its checks until one fails.
+    An error names the node by its ``premises[i]`` path."""
     errors: list[str] = []
 
     # ``up`` is None at the root, else (the parent's ``up``, the node's
     # premise index); ``_path`` spells it out only for a node in error.
     def go(node: Derivation, up: tuple | None) -> None:
-        # Unpacked once here, a node's fields reach both checks as
+        # Unpacked once here, a node's fields reach the checks as
         # locals, which read faster than field getters.
         r, ctx, t, ty, ps = node
         for i, p in enumerate(ps):
             go(p, (up, i))
-        msg = _shape_error(r, ctx, t, ty, ps) or _relation_error(
-            r, ctx, t, ty, ps, domain, fuel
-        )
+        msg = _shape_error(r, ctx, t, ty, ps)
+        if msg is None:
+            for check in _RULES[r].checks:
+                msg = check(ctx, t, ty, ps, domain, fuel)
+                if msg is not None:
+                    msg = f"{r}: {msg}"
+                    break
         if msg is not None:
             errors.append(f"{_path(up)}: {msg}" if up else msg)
 

@@ -116,6 +116,8 @@ class LevelDomain:
 
     def lt(self, a: LevelValue, b: LevelValue) -> bool:
         """Strict order. Pre: both values belong to this domain."""
+        if type(a) is type(b) and type(a) in _TIERS:  # one tier: compare offsets
+            return a[0] < b[0]
         return _key(a) < _key(b)
 
     def next_above(self, a: LevelValue) -> LevelValue:

@@ -17,9 +17,11 @@ from ulevels.levels import (
     Finite,
     LevelSyntaxError,
     OmegaPlus,
+    _key,
     domain_named,
     randbelow,
 )
+from ulevels.terms import Lvl, Var
 
 
 def test_lt_frozen_values():
@@ -58,6 +60,26 @@ def test_lt_matches_exhaustive_small_table():
     for a in SMALL:
         for b in SMALL:
             assert NAT_OMEGA.lt(a, b) == _table_lt(a, b), (a, b)
+
+
+def test_lt_agrees_with_the_key_order_within_and_across_tiers():
+    # Two values of one tier compare their offsets directly; every other
+    # pair goes through ``_key``, which the order is defined by.
+    grid = [Finite(n) for n in (0, 1, 2, 7, 10**6)] + [OmegaPlus(n) for n in (0, 1, 5)]
+    for a in grid:
+        for b in grid:
+            assert NAT_OMEGA.lt(a, b) == (_key(a) < _key(b)), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Lvl(Finite(0)), Lvl(Finite(1))),  # one class, but not a level value
+    (3, 4),
+    (Finite(0), 3),
+    (OmegaPlus(0), Var(0)),
+])
+def test_lt_rejects_a_non_level(a, b):
+    with pytest.raises(TypeError, match="Unexpected level value"):
+        NAT_OMEGA.lt(a, b)
 
 
 @given(level_values)

@@ -60,10 +60,34 @@ def test_ab_suites_corpus_stops_when_derived_files_differ(tmp_path):
     assert "outputs differ" in run.stderr
 
 
+def test_ab_suites_coherence_of_one_tree_against_itself():
+    run = ab_suites(str(ROOT), str(ROOT), "--workload", "coherence", "--rounds", "2",
+                    "--ops", "30")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "round 1", "round 2", "coherence", "all"]
+    assert "of 2; outputs equal in every operation" in lines[-1]
+
+
+def test_ab_suites_runs_the_first_operations_of_a_metatheory_round():
+    # Two operations: one batch of the first two suites.
+    run = ab_suites(str(ROOT), str(ROOT), "--rounds", "1", "--ops", "2")
+    assert run.returncode == 0, run.stderr
+    assert [line.split(":")[0] for line in run.stdout.splitlines()[1:]] == [
+        "subject-reduction", "diamond", "all"]
+
+
 def test_ab_suites_refuses_zero_rounds():
     run = ab_suites(str(ROOT), str(ROOT), "--rounds", "0")
     assert run.returncode == 2
     assert "--rounds must be at least 1" in run.stderr
+
+
+def test_ab_suites_refuses_zero_operations():
+    run = ab_suites(str(ROOT), str(ROOT), "--ops", "0")
+    assert run.returncode == 2
+    assert "--ops must be at least 1" in run.stderr
 
 
 def test_linecov_lists_the_statements_a_run_leaves_unrun(tmp_path):

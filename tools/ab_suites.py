@@ -1,7 +1,8 @@
 """Interleaved A/B timing of one benchmark workload on two source trees.
 
     python3 tools/ab_suites.py PARENT_ROOT CHANGE_ROOT
-        [--workload metatheory|corpus] [--rounds N] [--seed S]
+        [--workload metatheory|corpus|coherence] [--rounds N] [--seed S]
+        [--ops N]
 
 Each root is a checkout of this repository. The script imports each
 tree's ``ulevels`` package (from ``ROOT/src``) and its
@@ -15,8 +16,12 @@ either, and builds the workload's operations at the seed from each:
   definition and the revalidation of what it wrote, each tree writing
   into a working directory of its own. The trees alternate which goes
   first from one operation to the next.
+- ``coherence``: ``gen_case`` then ``check_derivation`` on each
+  generated judgment, so a validator change can be timed in one
+  process. The trees alternate as for ``corpus``.
 
-Every round runs each operation once on each tree, so a machine that
+``--ops N`` runs only the first N operations of each round (a
+``coherence`` round has 8,000). Every round runs each operation once on each tree, so a machine that
 slows for a while slows both sides alike. Each pair of operations must
 give equal outputs (suite digests; check reports, derived file sizes
 and revalidation verdicts), or the script stops with exit status 1.
@@ -82,23 +87,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, metavar="PARENT_ROOT")
     parser.add_argument("change", type=Path, metavar="CHANGE_ROOT")
-    parser.add_argument("--workload", choices=("metatheory", "corpus"), default="metatheory")
+    parser.add_argument("--workload", choices=("metatheory", "corpus", "coherence"),
+                        default="metatheory")
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=97)
+    parser.add_argument("--ops", type=int, default=None)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: load_tree(getattr(args, side), args.workload, args.seed, Path(tmp) / side)
                  for side in SIDES}
-        return compare(trees, args.workload, args.rounds)
+        return compare(trees, args.workload, args.rounds, args.ops)
 
 
-def compare(trees: dict, workload: str, rounds: int) -> int:
+def compare(trees: dict, workload: str, rounds: int, ops: int | None = None) -> int:
     (ops_a, _, suites), (ops_b, _, _) = trees["parent"], trees["change"]
     if len(ops_a) != len(ops_b):
         raise SystemExit("error: the trees build different numbers of operations")
+    count = len(ops_a) if ops is None else min(ops, len(ops_a))
     # Each round's operations take turns through the labels: one batch of
     # each metatheory suite, or one corpus command at a time.
     labels = suites if workload == "metatheory" else (workload,)
@@ -107,7 +117,7 @@ def compare(trees: dict, workload: str, rounds: int) -> int:
     wins = dict.fromkeys(SIDES, 0)
     for rnd in range(rounds):
         spent = dict.fromkeys(SIDES, 0.0)
-        for i in range(len(ops_a)):
+        for i in range(count):
             # Flip the order once per turn through the labels, so each
             # label runs first on each side equally often.
             order = SIDES if (rnd + i // len(labels)) % 2 == 0 else SIDES[::-1]
@@ -124,7 +134,7 @@ def compare(trees: dict, workload: str, rounds: int) -> int:
         print(f"round {rnd + 1}: change/parent {spent['change'] / spent['parent']:.3f} "
               f"({winner} won)")
 
-    for label in labels:
+    for label in totals["parent"]:  # the labels that ran, in order
         print(f"{label}: {totals['change'][label] / totals['parent'][label]:.3f}")
     ratio = sum(totals["change"].values()) / sum(totals["parent"].values())
     print(f"all: {ratio:.3f}; rounds won: change {wins['change']}, "
