@@ -7,9 +7,9 @@ against exactly one rule. Each rule is stated once, in one table
 of equations between the node's parts, compared as two tuples at once
 (``p0.term = t.fn`` reads "premise 0's subject is the subject's
 function"), or a named predicate: the ``Var`` lookup, the ``Lvl`` side
-condition, ``Conv``'s convertibility. The algorithmic checker is sound against it
-(every acceptance carries a derivation that validates) but makes no
-completeness claim;
+condition, ``Conv``'s convertibility. The algorithmic checker is sound
+against it (every acceptance carries a derivation that validates) but
+makes no completeness claim;
 transitivity and cumulativity are not syntax directed, so it decides
 ``a : Level< b`` with one bounded search that normalizes, climbs the
 bounds above ``a`` a capped number of times, and at each level
@@ -245,17 +245,15 @@ class _Premise(NamedTuple):
     typing: bool = True
 
 
-class _Rule(NamedTuple):
-    """A rule: whether it concludes a typing judgment (context judgments
-    have no subject and no type), the classes of its subject and type
-    (None: any term), its premises, and its checks, made in order on a
-    node of this shape."""
+class _Shape(NamedTuple):
+    """The form of a rule: whether it concludes a typing judgment
+    (context judgments have no subject and no type), the classes of its
+    subject and type (None: any term), and its premises."""
 
     typing: bool
     subject: type | None = None
     ty: type | None = None
     premises: tuple[_Premise, ...] = ()
-    checks: tuple = ()
 
 
 _CTX = _Premise(typing=False)
@@ -267,10 +265,11 @@ _PREMISE = re.compile(r"\bp(\d)\b")
 def _equations(message: str, *equations: str):
     """A check that each ``left = right`` holds, ``=`` being ``==``
     (alpha-equivalence on de Bruijn syntax); the lefts and the rights are
-    compared as two tuples at once. It keeps its text as ``.equations``."""
+    compared as two tuples at once. It keeps its text as ``.equations``.
+    An equation that does not have exactly two sides raises ValueError."""
     left, right = (
         _PREMISE.sub(r"ps[\1]", ", ".join(side))
-        for side in zip(*(eq.split(" = ") for eq in equations))
+        for side in zip(*(eq.split(" = ") for eq in equations), strict=True)
     )
     check = eval(  # the table's own text, compiled once
         f"lambda ctx, t, ty, ps, domain, fuel: "
@@ -311,52 +310,109 @@ def _conversion(ctx, t, ty, ps, domain, fuel) -> str | None:
     return None
 
 
-# The rules of the system, each stated once: its shape, then its checks.
-# A premise sits in the conclusion's context; a context judgment's
-# premises sit in its prefix, and a binder premise (``binder=True``) in
-# the context extended by the binder's type, the subject's first field
-# (``Pi.dom``, ``Lam.ann``). In a check, ``t`` and ``ty`` are the
-# node's subject and type, and ``pi`` its premise i.
-_RULES: dict[str, _Rule] = {
-    "Nil": _Rule(False, checks=(_equations("context must be empty", "ctx = ()"),)),
-    "Cons": _Rule(False, premises=(_CTX, _Premise(Univ)), checks=(
-        _equations("entry must be typed in the prefix", "ctx[-1:] = (p1.term,)"),)),
-    "Var": _Rule(True, Var, None, (_CTX,), (_var_lookup,)),
-    "Pi": _Rule(True, Pi, Univ, (_Premise(Univ), _Premise(Univ, binder=True)), (
-        _equations("domain and codomain must share the universe",
-                   "p0.term = t.dom", "p0.ty.level = ty.level",
-                   "p1.term = t.cod", "p1.ty.level = subst.shift(ty.level, 1, 0)"),)),
-    "Lam": _Rule(True, Lam, Pi, (_Premise(Univ), _Premise(Univ), _Premise(binder=True)), (
+# The rules of the system, each stated once: its shape, then its checks
+# in the order they are made. A premise sits in the conclusion's
+# context; a context judgment's premises sit in its prefix, and a binder
+# premise (``binder=True``) in the context extended by the binder's
+# type, the subject's first field (``Pi.dom``, ``Lam.ann``). In a check,
+# ``t`` and ``ty`` are the node's subject and type, and ``pi`` its
+# premise i.
+_RULES: dict[str, tuple] = {
+    "Nil": (_Shape(False), _equations("context must be empty", "ctx = ()")),
+    "Cons": (
+        _Shape(False, premises=(_CTX, _Premise(Univ))),
+        _equations("entry must be typed in the prefix", "ctx[-1:] = (p1.term,)"),
+    ),
+    "Var": (_Shape(True, Var, None, (_CTX,)), _var_lookup),
+    "Pi": (
+        _Shape(True, Pi, Univ, (_Premise(Univ), _Premise(Univ, binder=True))),
+        _equations(
+            "domain and codomain must share the universe",
+            "p0.term = t.dom",
+            "p0.ty.level = ty.level",
+            "p1.term = t.cod",
+            "p1.ty.level = subst.shift(ty.level, 1, 0)",
+        ),
+    ),
+    "Lam": (
+        _Shape(
+            True, Lam, Pi, (_Premise(Univ), _Premise(Univ), _Premise(binder=True))
+        ),
         _equations("annotation differs from the domain", "t.ann = ty.dom"),
-        _equations("premises disagree with the conclusion",
-                   "p0.term = t.ann", "p1.term = ty", "p0.ty.level = p1.ty.level",
-                   "p2.term = t.body", "p2.ty = ty.cod"))),
-    "App": _Rule(True, App, None, (_Premise(Pi), _Premise()), (
-        _equations("instantiated codomain mismatch",
-                   "p0.term = t.fn", "p1.term = t.arg",
-                   "p1.ty = p0.ty.dom", "ty = subst.subst1(p0.ty.cod, t.arg)"),)),
-    "Mty": _Rule(True, Mty, Univ, (_Premise(Univ),), (
-        _equations("premise must type the target universe", "p0.term = ty"),)),
-    "Abs": _Rule(True, Absurd, None, (_Premise(Univ), _Premise(Mty)), (
-        _equations("annotation or scrutinee premise mismatch",
-                   "ty = t.ann", "p0.term = t.ann", "p1.term = t.scrut"),)),
-    "Conv": _Rule(True, None, None, (_Premise(), _Premise(Univ)), (
-        _equations("premises disagree with the conclusion",
-                   "p0.term = t", "p1.term = ty"),
-        _conversion)),
-    "Univ": _Rule(True, Univ, Univ, (_Premise(LevelLt),), (
-        _equations("level premise must bound the index",
-                   "p0.term = t.level", "p0.ty.bound = ty.level"),)),
-    "LevelLt": _Rule(True, LevelLt, Univ, (_Premise(Univ), _Premise(LevelLt)), (
-        _equations("premises must type the universe and the bound",
-                   "p0.term = ty", "p1.term = t.bound"),)),
-    "Lvl": _Rule(True, Lvl, LevelLt, (_CTX,), (_lvl_order,)),
-    "Trans": _Rule(True, None, LevelLt, (_Premise(LevelLt), _Premise(LevelLt)), (
-        _equations("middle bound must match both premises",
-                   "p0.term = t", "p1.term = p0.ty.bound", "p1.ty.bound = ty.bound"),)),
-    "Cumul": _Rule(True, None, Univ, (_Premise(Univ), _Premise(LevelLt)), (
-        _equations("level premise must lift to the target universe",
-                   "p0.term = t", "p1.term = p0.ty.level", "p1.ty.bound = ty.level"),)),
+        _equations(
+            "premises disagree with the conclusion",
+            "p0.term = t.ann",
+            "p1.term = ty",
+            "p0.ty.level = p1.ty.level",
+            "p2.term = t.body",
+            "p2.ty = ty.cod",
+        ),
+    ),
+    "App": (
+        _Shape(True, App, None, (_Premise(Pi), _Premise())),
+        _equations(
+            "instantiated codomain mismatch",
+            "p0.term = t.fn",
+            "p1.term = t.arg",
+            "p1.ty = p0.ty.dom",
+            "ty = subst.subst1(p0.ty.cod, t.arg)",
+        ),
+    ),
+    "Mty": (
+        _Shape(True, Mty, Univ, (_Premise(Univ),)),
+        _equations("premise must type the target universe", "p0.term = ty"),
+    ),
+    "Abs": (
+        _Shape(True, Absurd, None, (_Premise(Univ), _Premise(Mty))),
+        _equations(
+            "annotation or scrutinee premise mismatch",
+            "ty = t.ann",
+            "p0.term = t.ann",
+            "p1.term = t.scrut",
+        ),
+    ),
+    "Conv": (
+        _Shape(True, None, None, (_Premise(), _Premise(Univ))),
+        _equations(
+            "premises disagree with the conclusion", "p0.term = t", "p1.term = ty"
+        ),
+        _conversion,
+    ),
+    "Univ": (
+        _Shape(True, Univ, Univ, (_Premise(LevelLt),)),
+        _equations(
+            "level premise must bound the index",
+            "p0.term = t.level",
+            "p0.ty.bound = ty.level",
+        ),
+    ),
+    "LevelLt": (
+        _Shape(True, LevelLt, Univ, (_Premise(Univ), _Premise(LevelLt))),
+        _equations(
+            "premises must type the universe and the bound",
+            "p0.term = ty",
+            "p1.term = t.bound",
+        ),
+    ),
+    "Lvl": (_Shape(True, Lvl, LevelLt, (_CTX,)), _lvl_order),
+    "Trans": (
+        _Shape(True, None, LevelLt, (_Premise(LevelLt), _Premise(LevelLt))),
+        _equations(
+            "middle bound must match both premises",
+            "p0.term = t",
+            "p1.term = p0.ty.bound",
+            "p1.ty.bound = ty.bound",
+        ),
+    ),
+    "Cumul": (
+        _Shape(True, None, Univ, (_Premise(Univ), _Premise(LevelLt))),
+        _equations(
+            "level premise must lift to the target universe",
+            "p0.term = t",
+            "p1.term = p0.ty.level",
+            "p1.ty.bound = ty.level",
+        ),
+    ),
 }
 
 RULES = tuple(_RULES)
@@ -374,7 +430,7 @@ def _shape_error(
     rule = _RULES.get(r)
     if rule is None:
         return f"{r}: unknown rule"
-    typing, subject, ty_class, wanted, _ = rule
+    typing, subject, ty_class, wanted = rule[0]
     if not typing:
         if term is not None or ty is not None:
             return f"{r}: not a typing judgment"
@@ -392,7 +448,7 @@ def _shape_error(
         p_class, binder, p_typing = wanted[i]
         p_rule, p_ctx, p_term, p_ty, _ = p
         kind = _RULES.get(p_rule)
-        if kind is None or kind.typing != p_typing:
+        if kind is None or kind[0].typing != p_typing:
             judgment = "typing" if p_typing else "context"
             return f"{r}: premises[{i}] must be a {judgment} judgment"
         if p_ctx != (ctx + (term[0],) if binder else ctx):
@@ -425,7 +481,7 @@ def check_derivation(
             go(p, (up, i))
         msg = _shape_error(r, ctx, t, ty, ps)
         if msg is None:
-            for check in _RULES[r].checks:
+            for check in _RULES[r][1:]:
                 msg = check(ctx, t, ty, ps, domain, fuel)
                 if msg is not None:
                     msg = f"{r}: {msg}"

@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from operator import attrgetter
 
+import pytest
+
 from ulevels.checker import (
     _RULES,
     Derivation,
@@ -40,7 +42,7 @@ def _droppable(rule) -> list:
     """``rule``'s checks one by one, in table order, by name: each
     equation compiled on its own, and each predicate."""
     out = []
-    for check in rule.checks:
+    for check in rule[1:]:
         if hasattr(check, "equations"):
             out.extend((eq, _equations("fails", eq)) for eq in check.equations)
         else:
@@ -65,8 +67,8 @@ MUTANTS_PER_KIND = {
     "annotation": 1,
 }
 
-# ... what each one fails: some rule"s shape, exactly one check (and so
-# kills that check"s relation mutant), several checks, or nothing ...
+# ... what each one fails: some rule's shape, exactly one check (and so
+# kills that check's relation mutant), several checks, or nothing ...
 OUTCOMES = {
     "one check": 4464,
     "shape": 3320,
@@ -128,7 +130,7 @@ def _failing(node: Derivation) -> frozenset:
     )
     # The validator's own checks, equations grouped, fail exactly when
     # one of them fails on its own.
-    grouped = any(c(ctx, t, ty, ps, DOMAIN, FUEL) is not None for c in _RULES[r].checks)
+    grouped = any(c(ctx, t, ty, ps, DOMAIN, FUEL) is not None for c in _RULES[r][1:])
     assert grouped == bool(fails), (node, fails)
     return fails
 
@@ -222,16 +224,17 @@ def _walk(nodes: list[Derivation]):
 def _without(rule, name: str):
     """``rule`` with its check ``name`` dropped: one equation of a group,
     or a whole predicate."""
-    checks = []
-    for check in rule.checks:
+    shape, *checks = rule
+    out = [shape]
+    for check in checks:
         if not hasattr(check, "equations"):
             if check.__name__ != name:
-                checks.append(check)
+                out.append(check)
             continue
         rest = [eq for eq in check.equations if eq != name]
         if rest:  # the message is not read: only the verdict is
-            checks.append(_equations("fails", *rest))
-    return rule._replace(checks=tuple(checks))
+            out.append(_equations("fails", *rest))
+    return tuple(out)
 
 
 def test_every_check_of_the_table_has_a_killing_mutant(monkeypatch):
@@ -265,3 +268,9 @@ def test_every_check_of_the_table_has_a_killing_mutant(monkeypatch):
         with monkeypatch.context() as m:
             m.setitem(_RULES, r, _without(_RULES[r], name))
             assert check_derivation(mutant, DOMAIN, FUEL).ok, (r, name)
+
+
+def test_an_equation_must_have_exactly_two_sides():
+    for equations in (("a = b", "c = d = e"), ("c = d = e",), ("a = b", "c")):
+        with pytest.raises(ValueError):
+            _equations("m", *equations)

@@ -61,8 +61,24 @@ def test_ab_suites_corpus_stops_when_derived_files_differ(tmp_path):
 
 
 def test_ab_suites_coherence_of_one_tree_against_itself():
-    run = ab_suites(str(ROOT), str(ROOT), "--workload", "coherence", "--rounds", "2",
-                    "--ops", "30")
+    # ``compare`` on the first 30 of a round's 8,000 operations, in a
+    # process of its own since loading a tree rewrites ``sys.modules``.
+    script = f"""
+import sys, tempfile
+from pathlib import Path
+sys.path.insert(0, {str(AB_SUITES.parent)!r})
+import ab_suites
+with tempfile.TemporaryDirectory() as tmp:
+    trees = {{side: ab_suites.load_tree(Path({str(ROOT)!r}), "coherence", 97,
+                                       Path(tmp) / side)
+             for side in ab_suites.SIDES}}
+    assert len(trees["parent"][0]) == 8000
+    trees = {{side: (ops[:30], modules, suites)
+             for side, (ops, modules, suites) in trees.items()}}
+    sys.exit(ab_suites.compare(trees, "coherence", 2))
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
@@ -70,24 +86,10 @@ def test_ab_suites_coherence_of_one_tree_against_itself():
     assert "of 2; outputs equal in every operation" in lines[-1]
 
 
-def test_ab_suites_runs_the_first_operations_of_a_metatheory_round():
-    # Two operations: one batch of the first two suites.
-    run = ab_suites(str(ROOT), str(ROOT), "--rounds", "1", "--ops", "2")
-    assert run.returncode == 0, run.stderr
-    assert [line.split(":")[0] for line in run.stdout.splitlines()[1:]] == [
-        "subject-reduction", "diamond", "all"]
-
-
 def test_ab_suites_refuses_zero_rounds():
     run = ab_suites(str(ROOT), str(ROOT), "--rounds", "0")
     assert run.returncode == 2
     assert "--rounds must be at least 1" in run.stderr
-
-
-def test_ab_suites_refuses_zero_operations():
-    run = ab_suites(str(ROOT), str(ROOT), "--ops", "0")
-    assert run.returncode == 2
-    assert "--ops must be at least 1" in run.stderr
 
 
 def test_linecov_lists_the_statements_a_run_leaves_unrun(tmp_path):

@@ -2,7 +2,6 @@
 
     python3 tools/ab_suites.py PARENT_ROOT CHANGE_ROOT
         [--workload metatheory|corpus|coherence] [--rounds N] [--seed S]
-        [--ops N]
 
 Each root is a checkout of this repository. The script imports each
 tree's ``ulevels`` package (from ``ROOT/src``) and its
@@ -20,8 +19,7 @@ either, and builds the workload's operations at the seed from each:
   generated judgment, so a validator change can be timed in one
   process. The trees alternate as for ``corpus``.
 
-``--ops N`` runs only the first N operations of each round (a
-``coherence`` round has 8,000). Every round runs each operation once on each tree, so a machine that
+Every round runs each operation once on each tree, so a machine that
 slows for a while slows both sides alike. Each pair of operations must
 give equal outputs (suite digests; check reports, derived file sizes
 and revalidation verdicts), or the script stops with exit status 1.
@@ -91,33 +89,29 @@ def main(argv: list[str] | None = None) -> int:
                         default="metatheory")
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=97)
-    parser.add_argument("--ops", type=int, default=None)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    if args.ops is not None and args.ops < 1:
-        parser.error("--ops must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: load_tree(getattr(args, side), args.workload, args.seed, Path(tmp) / side)
                  for side in SIDES}
-        return compare(trees, args.workload, args.rounds, args.ops)
+        return compare(trees, args.workload, args.rounds)
 
 
-def compare(trees: dict, workload: str, rounds: int, ops: int | None = None) -> int:
+def compare(trees: dict, workload: str, rounds: int) -> int:
     (ops_a, _, suites), (ops_b, _, _) = trees["parent"], trees["change"]
     if len(ops_a) != len(ops_b):
         raise SystemExit("error: the trees build different numbers of operations")
-    count = len(ops_a) if ops is None else min(ops, len(ops_a))
     # Each round's operations take turns through the labels: one batch of
-    # each metatheory suite, or one corpus command at a time.
+    # each metatheory suite, or one corpus or coherence operation at a time.
     labels = suites if workload == "metatheory" else (workload,)
 
     totals = {side: defaultdict(float) for side in SIDES}
     wins = dict.fromkeys(SIDES, 0)
     for rnd in range(rounds):
         spent = dict.fromkeys(SIDES, 0.0)
-        for i in range(count):
+        for i in range(len(ops_a)):
             # Flip the order once per turn through the labels, so each
             # label runs first on each side equally often.
             order = SIDES if (rnd + i // len(labels)) % 2 == 0 else SIDES[::-1]
@@ -134,7 +128,7 @@ def compare(trees: dict, workload: str, rounds: int, ops: int | None = None) -> 
         print(f"round {rnd + 1}: change/parent {spent['change'] / spent['parent']:.3f} "
               f"({winner} won)")
 
-    for label in totals["parent"]:  # the labels that ran, in order
+    for label in labels:
         print(f"{label}: {totals['change'][label] / totals['parent'][label]:.3f}")
     ratio = sum(totals["change"].values()) / sum(totals["parent"].values())
     print(f"all: {ratio:.3f}; rounds won: change {wins['change']}, "
