@@ -30,9 +30,7 @@ import re
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .levels import Finite, LevelDomain, LevelValue, NAT_OMEGA, OmegaPlus, domain_named
 from .node import Node
@@ -117,10 +115,12 @@ class Derivation(Node):
         return tuple.__new__(cls, (rule, ctx, term, ty, premises))
 
 
-@dataclass(frozen=True)
-class DerivationReport:
-    ok: bool
-    errors: tuple[str, ...] = ()
+class DerivationReport(Node):
+    __slots__ = ()
+    __match_args__ = ("ok", "errors")
+
+    def __new__(cls, ok: bool, errors: tuple[str, ...] = ()) -> DerivationReport:
+        return tuple.__new__(cls, (ok, errors))
 
 
 def _parts(part: Derivation | Context | Term) -> tuple:
@@ -235,25 +235,36 @@ def _pretty(term: Term | None, names: tuple[str | None, ...], required: int) -> 
     raise TypeError(f"Unexpected term in pretty: {term!r}")
 
 
-class _Premise(NamedTuple):
+class _Premise(Node):
     """One premise of a rule: the class its type must have (None: any
     term), whether it sits under the subject's binder, and whether it is
     a typing judgment or a context judgment."""
 
-    ty: type | None = None
-    binder: bool = False
-    typing: bool = True
+    __slots__ = ()
+    __match_args__ = ("ty", "binder", "typing")
+
+    def __new__(
+        cls, ty: type | None = None, binder: bool = False, typing: bool = True
+    ) -> _Premise:
+        return tuple.__new__(cls, (ty, binder, typing))
 
 
-class _Shape(NamedTuple):
+class _Shape(Node):
     """The form of a rule: whether it concludes a typing judgment
     (context judgments have no subject and no type), the classes of its
     subject and type (None: any term), and its premises."""
 
-    typing: bool
-    subject: type | None = None
-    ty: type | None = None
-    premises: tuple[_Premise, ...] = ()
+    __slots__ = ()
+    __match_args__ = ("typing", "subject", "ty", "premises")
+
+    def __new__(
+        cls,
+        typing: bool,
+        subject: type | None = None,
+        ty: type | None = None,
+        premises: tuple[_Premise, ...] = (),
+    ) -> _Shape:
+        return tuple.__new__(cls, (typing, subject, ty, premises))
 
 
 _CTX = _Premise(typing=False)

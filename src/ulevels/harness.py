@@ -28,11 +28,10 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
 
 from . import subst
 from .checker import (
@@ -101,14 +100,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    cases: int = 200
-    max_size: int = 14
-    raw_size: int = 12
-    domain_name: str = "nat-omega"
-    fuel: int = DEFAULT_FUEL
+class GenConfig(Node):
+    __slots__ = ()
+    __match_args__ = ("seed", "cases", "max_size", "raw_size", "domain_name", "fuel")
+
+    def __new__(
+        cls,
+        seed: int = 0,
+        cases: int = 200,
+        max_size: int = 14,
+        raw_size: int = 12,
+        domain_name: str = "nat-omega",
+        fuel: int = DEFAULT_FUEL,
+    ) -> GenConfig:
+        return tuple.__new__(cls, (seed, cases, max_size, raw_size, domain_name, fuel))
 
     @property
     def domain(self) -> LevelDomain:
@@ -466,20 +471,49 @@ def shrink_term(t: Term, still_fails: Callable[[Term], bool], budget: int = 400)
 # Reports
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    suite: str
-    cases: int
-    failures: tuple[str, ...]
-    undecided: int
-    # Cases checked against a substitute for the exhaustive reduct set
-    # (subject reduction: the complete development, when it explodes).
-    fallbacks: int
-    digest: str
-    elapsed: float
-    coverage: tuple[tuple[str, float], ...] = ()
-    # Gates the sample could not decide because cases ran out of fuel.
-    inconclusive: tuple[str, ...] = ()
+class PropertyReport(Node):
+    __slots__ = ()
+    __match_args__ = (
+        "suite",
+        "cases",
+        "failures",
+        "undecided",
+        "fallbacks",
+        "digest",
+        "elapsed",
+        "coverage",
+        "inconclusive",
+    )
+
+    def __new__(
+        cls,
+        suite: str,
+        cases: int,
+        failures: tuple[str, ...],
+        undecided: int,
+        # Cases checked against a substitute for the exhaustive reduct set
+        # (subject reduction: the complete development, when it explodes).
+        fallbacks: int,
+        digest: str,
+        elapsed: float,
+        coverage: tuple[tuple[str, float], ...] = (),
+        # Gates the sample could not decide because cases ran out of fuel.
+        inconclusive: tuple[str, ...] = (),
+    ) -> PropertyReport:
+        return tuple.__new__(
+            cls,
+            (
+                suite,
+                cases,
+                failures,
+                undecided,
+                fallbacks,
+                digest,
+                elapsed,
+                coverage,
+                inconclusive,
+            ),
+        )
 
     @property
     def ok(self) -> bool:

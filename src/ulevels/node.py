@@ -1,13 +1,18 @@
 """Immutable records stored as tuples of their fields.
 
-Terms, level values, derivation nodes, check results, substitutions,
-generated cases and tokens are built, hashed and compared in very large
-numbers, so they subclass ``tuple``: building one, hashing it and
-keeping it run in C. A node class declares ``__slots__ = ()``, lists
-its fields in ``__match_args__`` and defines ``__new__`` with one
-parameter per field (defaults included); each field becomes a
-read-only tuple getter, the C descriptor ``collections.namedtuple``
-gives its own fields. A getter read is still slower than a dataclass's
+Every record of the package is a node: terms, level values, derivation
+nodes, check results, substitutions, generated cases and tokens, which
+are built, hashed and compared in very large numbers, and the records
+built a few times per run (the generator's configuration, suite and
+validation reports, the rule table's shapes, parsed modules and their
+reports). A node subclasses ``tuple``, so building one, hashing it and
+keeping it run in C, and a node class costs a small fraction of what a
+dataclass costs to create at import. A node class declares
+``__slots__ = ()``, lists its fields in ``__match_args__`` and defines
+``__new__`` with one parameter per field (defaults included); each
+field becomes a read-only tuple getter, the C descriptor
+``collections.namedtuple`` gives its own fields, shared by every class
+with that many fields. A getter read is still slower than a dataclass's
 instance-dict read, so hot loops unpack a node's fields at once
 (``rule, ctx, term, ty, premises = node``).
 
@@ -32,8 +37,18 @@ Hashing recurses in C, outside Python's recursion limit; equality and
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 __all__ = ["Node"]
+
+
+@cache
+def _getters(count: int) -> tuple:
+    """The getters of fields 0 to ``count - 1``. The field descriptors of
+    a namedtuple read a tuple slot in C and refuse assignment; they apply
+    to any tuple, so classes with ``count`` fields share one set."""
+    fields = namedtuple("Fields", [f"f{i}" for i in range(count)])
+    return tuple(vars(fields)[name] for name in fields._fields)
 
 
 class Node(tuple):
@@ -42,13 +57,10 @@ class Node(tuple):
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # The field descriptors of a namedtuple read a tuple slot in C and
-        # refuse assignment; they apply to any tuple, so each field
-        # borrows one.
-        getters = vars(namedtuple(cls.__name__, cls.__match_args__))
-        for name in cls.__match_args__:
-            setattr(cls, name, getters[name])
-        shown = ", ".join(f"{name}=%r" for name in cls.__match_args__)
+        names = cls.__match_args__
+        for name, getter in zip(names, _getters(len(names))):
+            setattr(cls, name, getter)
+        shown = ", ".join(f"{name}=%r" for name in names)
         # ``%`` takes a tuple, so a node formats its own fields.
         cls._repr_format = f"{cls.__qualname__}({shown})"
 

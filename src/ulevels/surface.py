@@ -22,7 +22,6 @@ transparent: later definitions see earlier bodies inlined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .checker import TypeChecker, Verdict, pretty
 from .levels import (
@@ -137,20 +136,24 @@ def lex(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser: tokens -> surface expression trees (plain tuples)
 
-@dataclass(frozen=True)
-class SurfaceDef:
-    name: str
-    ty: tuple
-    body: tuple
-    expect_fail: bool
-    line: int
+class SurfaceDef(Node):
+    __slots__ = ()
+    __match_args__ = ("name", "ty", "body", "expect_fail", "line")
+
+    def __new__(
+        cls, name: str, ty: tuple, body: tuple, expect_fail: bool, line: int
+    ) -> SurfaceDef:
+        return tuple.__new__(cls, (name, ty, body, expect_fail, line))
 
 
-@dataclass(frozen=True)
-class Module:
-    domain_name: str | None
-    fuel: int | None
-    defs: tuple[SurfaceDef, ...]
+class Module(Node):
+    __slots__ = ()
+    __match_args__ = ("domain_name", "fuel", "defs")
+
+    def __new__(
+        cls, domain_name: str | None, fuel: int | None, defs: tuple[SurfaceDef, ...]
+    ) -> Module:
+        return tuple.__new__(cls, (domain_name, fuel, defs))
 
 
 # The tokens that can start an atom, and so another argument of an
@@ -436,13 +439,19 @@ _ARMS = {
 # Module checking
 
 
-@dataclass(frozen=True)
-class DefReport:
-    name: str
-    verdict: Verdict
-    expect_fail: bool
-    type_text: str = ""
-    message: str = ""
+class DefReport(Node):
+    __slots__ = ()
+    __match_args__ = ("name", "verdict", "expect_fail", "type_text", "message")
+
+    def __new__(
+        cls,
+        name: str,
+        verdict: Verdict,
+        expect_fail: bool,
+        type_text: str = "",
+        message: str = "",
+    ) -> DefReport:
+        return tuple.__new__(cls, (name, verdict, expect_fail, type_text, message))
 
     @property
     def passed(self) -> bool:
@@ -459,11 +468,14 @@ class DefReport:
         return "ok" if self.passed else "FAIL"
 
 
-@dataclass(frozen=True)
-class ModuleReport:
-    domain_name: str
-    fuel: int
-    entries: tuple[DefReport, ...]
+class ModuleReport(Node):
+    __slots__ = ()
+    __match_args__ = ("domain_name", "fuel", "entries")
+
+    def __new__(
+        cls, domain_name: str, fuel: int, entries: tuple[DefReport, ...]
+    ) -> ModuleReport:
+        return tuple.__new__(cls, (domain_name, fuel, entries))
 
     @property
     def failed(self) -> int:

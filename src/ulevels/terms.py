@@ -9,8 +9,6 @@ plain equality: terms are compared with ``==``.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .levels import LevelValue
 from .node import Node
 
@@ -121,7 +119,7 @@ class LevelLt(Node):
         return tuple.__new__(cls, (bound,))
 
 
-Term = Union[Var, Lvl, Pi, Lam, App, Mty, Absurd, Univ, LevelLt]
+Term = Var | Lvl | Pi | Lam | App | Mty | Absurd | Univ | LevelLt
 
 Context = tuple[Term, ...]
 

@@ -546,6 +546,21 @@ def test_main_exits_1_without_traceback_when_the_pipe_closes():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Together they cost about 12 ms of every cold start; ``-S`` keeps
+    # ``site`` from importing anything first.
+    env = {**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")}
+    code = (
+        "import sys, ulevels.cli, ulevels.harness; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def random_expr(rng: random.Random, depth: int, bound: tuple[str, ...] = ()) -> str:
     """Surface text that is mostly well formed but seldom well typed."""
     if depth == 0 or rng.random() < 0.3:

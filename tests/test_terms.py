@@ -4,25 +4,43 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
+import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from gen import terms
 from named_oracle import alpha_eq_named, to_named
-from ulevels.checker import CheckResult, Derivation, Verdict, derivation_to_doc
-from ulevels.harness import GenCase
-from ulevels.levels import Finite, OmegaPlus
+from ulevels.checker import (
+    CheckResult,
+    Derivation,
+    DerivationReport,
+    Verdict,
+    _Premise,
+    _Shape,
+    derivation_to_doc,
+)
+from ulevels.harness import GenCase, GenConfig, PropertyReport
+from ulevels.levels import NAT_OMEGA, Finite, OmegaPlus
 from ulevels.reduction import (
     complete_development,
     par_reducts,
     par_step_check,
 )
 from ulevels.subst import Subst, apply, shift, strengthen, subst1
-from ulevels.surface import Token, parse
+from ulevels.surface import (
+    DefReport,
+    Module,
+    ModuleReport,
+    SurfaceDef,
+    Token,
+    parse,
+)
 from ulevels.terms import (
     BINDS,
     App,
@@ -87,11 +105,13 @@ def test_term_size_frozen():
 
 # ---------------------------------------------------------------------------
 # The node contract: equality is same class and equal fields, the hash is
-# the hash of the field tuple, and nodes are immutable and unordered. The
-# records built in bulk next to terms (derivation nodes, check results,
-# substitutions, generated cases, tokens) keep the same contract, except
-# that a derivation node is its own identity: it hashes and compares as
-# an object, and copies of it have the same structure (document).
+# the hash of the field tuple, and nodes are immutable and unordered.
+# Every other record of the package (derivation nodes, check results,
+# substitutions, generated cases, tokens, and the records built a few
+# times per run: configurations, reports, rule shapes, parsed modules)
+# keeps the same contract, except that a derivation node is its own
+# identity: it hashes and compares as an object, and copies of it have
+# the same structure (document).
 
 ONE_OF_EACH = [
     Var(2),
@@ -113,6 +133,19 @@ RECORDS = [
     Subst((Var(3),), 1),
     GenCase(4, (Mty(),), Var(0), Mty(), NIL),
     Token("ident", "x", 3),
+]
+DEF = SurfaceDef("x", ("ident", "Bot"), ("ident", "Bot"), True, 2)
+FAILED = DefReport("x", Verdict.REJECTED, True, message="m")
+RECORDS += [
+    GenConfig(seed=7, cases=3),
+    PropertyReport("diamond", 3, ("x",), 1, 0, "abc", 0.5),
+    DerivationReport(False, ("Nil: context must be empty",)),
+    _Premise(Univ, binder=True),
+    _Shape(True, Pi, Univ, (_Premise(Univ),)),
+    DEF,
+    Module("nat", 10, (DEF,)),
+    FAILED,
+    ModuleReport("nat-omega", 1000, (FAILED,)),
 ]
 NODES = ONE_OF_EACH + RECORDS
 
@@ -141,6 +174,9 @@ def _structure(node):
 def test_hash_is_the_hash_of_the_field_tuple(t):
     assert hash(t) == hash(_fields(t)) == hash(tuple(t))
     assert t == type(t)(*_fields(t))
+    # Yet no node equals that tuple, either way.
+    assert not t == tuple(t) and t != tuple(t)
+    assert not tuple(t) == t and tuple(t) != t
 
 
 def test_derivation_nodes_hash_and_compare_by_identity():
@@ -193,6 +229,55 @@ def test_derivation_nodes_hash_and_compare_by_identity():
             "premises=()))",
         ),
         (Token("ident", "x", 3), "Token(kind='ident', text='x', line=3)"),
+        # The records that were frozen dataclasses or named tuples print
+        # as they did.
+        (
+            GenConfig(seed=7, cases=3),
+            "GenConfig(seed=7, cases=3, max_size=14, raw_size=12, "
+            "domain_name='nat-omega', fuel=10000)",
+        ),
+        (
+            PropertyReport("diamond", 3, ("x",), 1, 0, "abc", 0.5),
+            "PropertyReport(suite='diamond', cases=3, failures=('x',), "
+            "undecided=1, fallbacks=0, digest='abc', elapsed=0.5, coverage=(), "
+            "inconclusive=())",
+        ),
+        (
+            DerivationReport(False, ("Nil: context must be empty",)),
+            "DerivationReport(ok=False, errors=('Nil: context must be empty',))",
+        ),
+        (
+            _Premise(Univ, binder=True),
+            "_Premise(ty=<class 'ulevels.terms.Univ'>, binder=True, typing=True)",
+        ),
+        (
+            _Shape(True, Pi, Univ, (_Premise(Univ),)),
+            "_Shape(typing=True, subject=<class 'ulevels.terms.Pi'>, "
+            "ty=<class 'ulevels.terms.Univ'>, premises=(_Premise(ty=<class "
+            "'ulevels.terms.Univ'>, binder=False, typing=True),))",
+        ),
+        (
+            DEF,
+            "SurfaceDef(name='x', ty=('ident', 'Bot'), body=('ident', 'Bot'), "
+            "expect_fail=True, line=2)",
+        ),
+        (
+            Module("nat", 10, (DEF,)),
+            "Module(domain_name='nat', fuel=10, defs=(SurfaceDef(name='x', "
+            "ty=('ident', 'Bot'), body=('ident', 'Bot'), expect_fail=True, "
+            "line=2),))",
+        ),
+        (
+            FAILED,
+            "DefReport(name='x', verdict=<Verdict.REJECTED: 'rejected'>, "
+            "expect_fail=True, type_text='', message='m')",
+        ),
+        (
+            ModuleReport("nat-omega", 1000, (FAILED,)),
+            "ModuleReport(domain_name='nat-omega', fuel=1000, entries=(DefReport("
+            "name='x', verdict=<Verdict.REJECTED: 'rejected'>, expect_fail=True, "
+            "type_text='', message='m'),))",
+        ),
     ],
 )
 def test_repr_is_pinned(t, text):
@@ -206,6 +291,9 @@ SAME_ARITY = [
         (Pi, Lam, App, Absurd),
         (Derivation, GenCase),
         (CheckResult, Token),
+        (Subst, DerivationReport),
+        (CheckResult, _Premise, Module, ModuleReport),
+        (GenCase, SurfaceDef, DefReport),
     )
     for pair in itertools.combinations(group, 2)
 ]
@@ -275,6 +363,53 @@ def test_records_take_keywords_and_defaults():
     case = GenCase(index=4, ctx=(), term=Var(0), ty=Mty(), derivation=NIL)
     assert case == GenCase(4, (), Var(0), Mty(), NIL)
     assert Token(kind="eof", text="", line=1) == Token("eof", "", 1)
+    defaults = dict(seed=0, cases=200, max_size=14, raw_size=12, fuel=10_000)
+    assert GenConfig() == GenConfig(**defaults, domain_name="nat-omega")
+    assert GenConfig().domain is NAT_OMEGA
+    accepted = DefReport("x", Verdict.ACCEPTED, False)
+    assert (accepted.type_text, accepted.message) == ("", "")
+    assert DefReport(name="x", verdict=Verdict.ACCEPTED, expect_fail=False) == accepted
+    suite = PropertyReport("diamond", 3, (), 0, 0, "abc", 0.5)
+    assert (suite.coverage, suite.inconclusive) == ((), ())
+    assert DerivationReport(ok=True) == DerivationReport(True, ())
+    assert _Premise() == _Premise(None, False, True)
+    assert _Shape(typing=False) == _Shape(False, None, None, ())
+    surface_def = SurfaceDef(name="x", ty=(), body=(), expect_fail=True, line=2)
+    assert surface_def == SurfaceDef("x", (), (), True, 2)
+    assert Module(domain_name=None, fuel=None, defs=()) == Module(None, None, ())
+    report = ModuleReport(domain_name="nat", fuel=1, entries=())
+    assert report == ModuleReport("nat", 1, ())
+
+
+# Run in a subprocess, so that the test run's own imports hold nothing.
+REIMPORT = """
+import gc, sys, weakref
+import ulevels.cli, ulevels.harness
+from ulevels import checker, harness, levels, node, subst, surface, terms
+old = [
+    weakref.ref(cls)
+    for cls in (node.Node, levels.Finite, terms.Var, subst.Subst,
+                checker.TypeChecker, harness.GenConfig, surface.DefReport)
+]
+del checker, harness, levels, node, subst, surface, terms, ulevels
+for name in [n for n in sys.modules if n == "ulevels" or n.startswith("ulevels.")]:
+    del sys.modules[name]
+import ulevels.cli, ulevels.harness
+gc.collect()
+print([ref() for ref in old])
+"""
+
+
+def test_a_dropped_package_is_collected_when_imported_again():
+    # Nothing outside the package, such as a cache of typing's, may keep
+    # its old classes, and through their methods its old modules, alive.
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", REIMPORT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"{[None] * 7}\n", "")
 
 
 def test_positional_and_keyword_class_patterns_match():
