@@ -12,7 +12,8 @@ against it (every acceptance carries a derivation that validates) but
 makes no completeness claim;
 transitivity and cumulativity are not syntax directed, so it decides
 ``a : Level< b`` with one bounded search that normalizes, climbs the
-bounds above ``a`` a capped number of times, and at each level
+bounds typing gives above ``a`` up to the first literal, a capped
+number of times, and at each level
 compares with ``b``, compares literals, and walks the context-declared
 bounds. The same search answers ``level_below``, builds the
 derivation, and supplies the levels that joining and strengthening
@@ -677,8 +678,9 @@ class TypingError(Exception):
     """Rejection with a diagnostic."""
 
 
-class FuelError(TypingError):
-    """Conversion or normalization ran out of fuel: undecided."""
+class FuelError(Exception):
+    """Conversion or normalization ran out of fuel: undecided, neither
+    accepted nor rejected."""
 
 
 def _lvl_holds(domain: LevelDomain, i: LevelValue, j: LevelValue) -> bool:
@@ -872,48 +874,35 @@ class TypeChecker:
         return self._infer_head(ctx, t, LevelLt, "level")
 
     def _climb(self, ctx: Context, k: Term) -> Iterator[Term]:
-        """``k`` normalized, then the bound of each level before it,
-        normalized: a variable's declared bound, read from its context
-        entry (the edge ``LevelOrder`` follows), any other level's from
-        ``infer_level``. At most CLIMB_CAP steps, stopping at a level
-        with no bound or before a level repeats."""
+        """``k`` normalized, then the bound that typing gives each level
+        before it (``infer_level``), normalized, up to the first literal:
+        above a literal the ``Lvl`` rule gives only the next literal. At
+        most CLIMB_CAP steps, stopping at a level that does not type."""
         cur = self._norm(k)
-        seen = {cur}
         yield cur
         for _ in range(CLIMB_CAP):
-            if isinstance(cur, Var):
-                try:
-                    entry = self._whnf(subst.ctx_lookup(ctx, cur.ix))
-                except IndexError:
-                    return
-                if not isinstance(entry, LevelLt):
-                    return
-                bound = entry.bound
-            else:
-                try:
-                    bound, _ = self.infer_level(ctx, cur)
-                except FuelError:
-                    raise
-                except TypingError:
-                    return
-            cur = self._norm(bound)
-            if cur in seen:
+            if isinstance(cur, Lvl):
                 return
-            seen.add(cur)
+            try:
+                bound, _ = self.infer_level(ctx, cur)
+            except TypingError:
+                return
+            cur = self._norm(bound)
             yield cur
 
     def _level_trail(
         self, ctx: Context, a: Term, b: Term
     ) -> tuple[list[Term], list[Term] | None] | None:
-        """The level search: how ``a : Level< b`` is derivable, or None.
+        """The level search: how ``a : Level< b`` is derivable in the
+        typed context ``ctx``, or None.
 
         At each level of ``_climb(ctx, a)`` it tries, in order: (below
         the first level) whether the level is ``b``; whether both are
         literals ``_lvl_holds`` orders; a ``LevelOrder`` path to ``b``.
         The answer is the levels climbed and the hops of the decision
         that ended the search, or None for the hops when the last level
-        climbed is ``b``. A literal's bounds are only larger literals, so
-        the search decides at the first literal it meets."""
+        climbed is ``b``. The climb ends at its first literal, where the
+        search decides."""
         nb = self._norm(b)
         levels: list[Term] = []
         for cur in self._climb(ctx, a):
@@ -932,7 +921,11 @@ class TypeChecker:
 
     def level_below(self, ctx: Context, a: Term, b: Term) -> bool:
         """Whether the level search shows ``a : Level< b`` derivable;
-        sound, not complete."""
+        sound, not complete. False in a context that does not type."""
+        try:
+            self.ctx_derivation(ctx)
+        except TypingError:
+            return False
         return self._level_trail(ctx, a, b) is not None
 
     def _edge_derivation(self, ctx: Context, lo: Term, hi: Term) -> Derivation:
@@ -1001,7 +994,9 @@ class TypeChecker:
     # -- universe joining (for Pi and Lam)
 
     def _level_le(self, ctx: Context, a: Term, b: Term) -> bool:
-        return self._conv(a, b) or self.level_below(ctx, a, b)
+        """``a`` is ``b`` or the level search finds it below ``b``, in a
+        context the join's caller has typed."""
+        return self._conv(a, b) or self._level_trail(ctx, a, b) is not None
 
     def _join_levels(self, ctx: Context, a: Term, b: Term) -> Term:
         """``b`` if ``a`` is below it, ``a`` if ``b`` is below it, else
@@ -1020,20 +1015,17 @@ class TypeChecker:
         )
 
     def _first_above(self, ctx: Context, lo: Term, hi: Term) -> Term | None:
-        """The first level of ``_climb(ctx, lo)`` past ``lo`` at or above
-        ``hi``; the caller has compared ``lo`` itself.
+        """The first level past ``lo`` at or above ``hi``: of
+        ``_climb(ctx, lo)``, then of the literals above the literal it
+        ends at; the caller has compared ``lo`` itself.
 
-        Past its first literal a climb meets only the next literals of
-        the same tier, ``nth_above(first, k)``, and a level below one
-        literal is below every larger one. So that tail is searched by
-        bisection on ``k``."""
-        # Every level up to the first literal is climbed before any is
-        # compared, so a climb that raises does so first.
-        levels = []
-        for cand in self._climb(ctx, lo):
-            levels.append(cand)
-            if isinstance(cand, Lvl):
-                break
+        Above a literal ``first`` the ``Lvl`` rule's bounds are the next
+        literals of its tier, ``nth_above(first, k)``, and a level below
+        one literal is below every larger one. So that tail is searched
+        by bisection on ``k``."""
+        # Every level is climbed before any is compared, so a climb that
+        # raises does so first.
+        levels = list(self._climb(ctx, lo))
         for cand in levels[1:]:
             if self._level_le(ctx, hi, cand):
                 return cand
@@ -1044,7 +1036,7 @@ class TypeChecker:
         def nth(k: int) -> Term:
             return Lvl(self.domain.nth_above(first.value, k))
 
-        # The climb takes at most CLIMB_CAP steps in all.
+        # The climb and the tail take at most CLIMB_CAP steps in all.
         tail = range(1, CLIMB_CAP + 2 - len(levels))
         i = bisect_left(tail, True, key=lambda k: self._level_le(ctx, hi, nth(k)))
         return nth(tail[i]) if i < len(tail) else None
@@ -1207,8 +1199,6 @@ class TypeChecker:
         """``_check`` of a premise whose rejection names the premise."""
         try:
             return self._check(ctx, t, expected)
-        except FuelError:
-            raise
         except TypingError as e:
             raise TypingError(f"{what}: {e}") from None
 
@@ -1314,7 +1304,7 @@ def level_lt_check(
     try:
         tc.infer_level(ctx, lo)
         return tc.level_below(ctx, lo, hi)
-    except (TypingError, RecursionError):
+    except (TypingError, FuelError, RecursionError):
         return False
 
 
@@ -1379,8 +1369,9 @@ def search_derivation(
     the checker misses, because the checker's level relation is
     transitive. Checking ``s : Level< n`` infers ``s : Level< b`` and
     climbs from ``b``; each climb step goes to the current level's
-    inferred bound, and ``LevelOrder.path`` follows the same declared
-    bounds. So if the climb from ``b`` reaches ``m``, and ``m``'s bound
+    inferred bound, ``LevelOrder.path`` follows the same bounds of
+    variables, and at the climb's first literal the domain's order
+    decides. So if the climb from ``b`` reaches ``m``, and ``m``'s bound
     climbs on to ``n``, the climb from ``b`` reaches ``n`` too. Checking
     ``s : U n`` asks the same relation of ``s``'s universe index, or of
     its parts. The one exception is a chain longer than ``CLIMB_CAP``

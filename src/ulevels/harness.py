@@ -84,7 +84,6 @@ __all__ = [
     "GenError",
     "GenCase",
     "gen_case",
-    "gen_well_typed",
     "gen_raw",
     "PropertyReport",
     "run_subject_reduction",
@@ -343,7 +342,7 @@ def _relax_type(rng: random.Random, ctx: Context, ty: Term, tc: TypeChecker) -> 
     if roll > 0.8:
         try:
             u_ty, _ = tc.infer(ctx, out)
-        except TypingError:
+        except (TypingError, FuelError):
             return out
         n_u, done_u = pars(u_ty, fuel)
         if done_u and isinstance(n_u, Univ) and isinstance(n_u.level, Lvl):
@@ -373,8 +372,6 @@ def gen_case(
     term = gen_term(rng, ctx, tc, cfg.max_size)
     try:
         inferred, _ = tc.infer(ctx, term)
-    except FuelError:
-        raise
     except TypingError as e:
         raise GenError(f"case {index}: generated term failed inference: {e}") from e
     ty = _relax_type(rng, ctx, inferred, tc)
@@ -386,12 +383,6 @@ def gen_case(
             f"case {index}: generated judgment rejected: {res.message}"
         )
     return GenCase(index, ctx, term, ty, res.derivation)
-
-
-def gen_well_typed(cfg: GenConfig, closed: bool = False) -> Iterator[GenCase]:
-    domain = cfg.domain
-    for i in range(cfg.cases):
-        yield gen_case(cfg, i, domain, closed)
 
 
 _RAW_LEAVES = (("var", 3), ("lvl", 2), ("bot", 2))

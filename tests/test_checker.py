@@ -211,11 +211,10 @@ def test_level_is_not_below_itself():
 
 
 def test_level_lt_check_climbs_like_the_checker():
-    # The climb reads a variable's declared bound without typing it, so
-    # it finds Bot above #0 here. level_lt_check types #0 as a level
-    # first and, like check, says no.
+    # Level< Bot does not type, so neither does the context: the level
+    # search, check and level_lt_check all say no.
     ctx = (LevelLt(Mty()),)
-    assert TypeChecker().level_below(ctx, Var(0), Mty())
+    assert not TypeChecker().level_below(ctx, Var(0), Mty())
     rejected(ctx, Var(0), LevelLt(Mty()))
     assert not level_lt_check(ctx, Var(0), Mty())
 
@@ -285,17 +284,10 @@ def test_climb_is_undecided_when_a_bound_runs_out_of_fuel(monkeypatch):
     assert (res.verdict, res.message) == (Verdict.UNDECIDED, "bound out of fuel")
 
 
-def test_climb_from_a_literal_yields_its_successors():
-    # Past a literal the climb infers each literal's type, whose bound is
-    # the next literal; only the join oracle below climbs that far.
-    climb = list(TypeChecker()._climb((), Lvl(Finite(3))))
-    assert climb == [Lvl(Finite(n)) for n in range(3, 4 + checker_mod.CLIMB_CAP)]
-
-
 @pytest.fixture
 def literal_infers(monkeypatch):
     """The literals ``TypeChecker.infer`` is called on, cache hits
-    included: climbing past a literal infers it to read its bound."""
+    included: climbing past a literal would infer it to read its bound."""
     calls = []
     infer = TypeChecker.infer
 
@@ -308,9 +300,28 @@ def literal_infers(monkeypatch):
     return calls
 
 
+def _typed(ctx, literal_infers):
+    """A checker that has typed ``ctx``, which infers the literals in
+    it, with those inferences left uncounted."""
+    tc = TypeChecker()
+    tc.ctx_derivation(ctx)
+    literal_infers.clear()
+    return tc
+
+
+def test_the_climb_ends_at_its_first_literal(literal_infers):
+    # The Lvl rule's bound of a literal is only the next literal, so the
+    # climb stops at the first literal it yields, inferring none.
+    ctx = (LevelLt(Lvl(Finite(5))), LevelLt(Var(0)))
+    tc = _typed(ctx, literal_infers)
+    assert list(tc._climb(ctx, Var(0))) == [Var(0), Var(1), Lvl(Finite(5))]
+    assert list(tc._climb((), Lvl(Finite(3)))) == [Lvl(Finite(3))]
+    assert literal_infers == []
+
+
 def test_level_search_decides_at_a_literal(literal_infers):
     ctx = (LevelLt(Lvl(Finite(5))),)
-    assert not TypeChecker().level_below(ctx, Lvl(Finite(0)), Var(0))
+    assert not _typed(ctx, literal_infers).level_below(ctx, Lvl(Finite(0)), Var(0))
     assert literal_infers == []
 
 
@@ -318,7 +329,7 @@ def test_join_skips_a_literal_climb_that_cannot_help(literal_infers):
     # A finite literal never climbs to omega, so joining 3 with a
     # variable below omega climbs from the variable instead.
     ctx = (LevelLt(OMEGA),)
-    assert TypeChecker()._join_levels(ctx, Lvl(Finite(3)), Var(0)) == OMEGA
+    assert _typed(ctx, literal_infers)._join_levels(ctx, Lvl(Finite(3)), Var(0)) == OMEGA
     assert literal_infers == []
 
 
@@ -385,8 +396,8 @@ def test_every_accepted_type_has_a_universe(name):
 
 class NextAboveSelf(levels.NatOmegaDomain):
     """Test-only: a successor that is not above its level, so the ``Lvl``
-    rule's type for ``i`` is ``Level< i`` and the climb from a literal
-    meets that literal again."""
+    rule's type for ``i`` is ``Level< i``: a climb past a literal would
+    meet that literal again."""
 
     name = "next-above-self"
 
@@ -394,7 +405,7 @@ class NextAboveSelf(levels.NatOmegaDomain):
         return super().nth_above(a, n - 1)
 
 
-def test_the_climb_stops_before_a_level_repeats():
+def test_the_climb_ends_at_a_literal_that_bounds_itself():
     tc = TypeChecker(NextAboveSelf())
     two, three = Lvl(Finite(2)), Lvl(Finite(3))
     assert tc.infer((), three)[0] == LevelLt(three)
@@ -518,6 +529,15 @@ def test_join_bisects_the_literal_tail(monkeypatch):
     assert len(calls) <= 8, calls
 
 
+def _full_climb(tc, ctx, k):
+    """``_climb(ctx, k)`` and, past the literal it ends at, each next
+    literal, to CLIMB_CAP steps in all."""
+    levels = list(tc._climb(ctx, k))
+    while len(levels) <= checker_mod.CLIMB_CAP and isinstance(levels[-1], Lvl):
+        levels.append(Lvl(tc.domain.next_above(levels[-1].value)))
+    return levels
+
+
 def _join_by_full_climbs(tc, ctx, a, b):
     """The reference join: each climb taken in full, literal tail
     included, before any level of it is compared."""
@@ -525,10 +545,10 @@ def _join_by_full_climbs(tc, ctx, a, b):
         return b
     if tc._level_le(ctx, b, a):
         return a
-    for cand in list(tc._climb(ctx, a)):
+    for cand in _full_climb(tc, ctx, a):
         if tc._level_le(ctx, b, cand):
             return cand
-    for cand in list(tc._climb(ctx, b)):
+    for cand in _full_climb(tc, ctx, b):
         if tc._level_le(ctx, a, cand):
             return cand
     raise TypingError(
@@ -578,24 +598,32 @@ def test_join_climbs_the_literal_tail_to_its_cap(root):
 @pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)
 def test_join_agrees_with_full_climbs(domain):
     # Generated contexts, some with a bound near the end of a climb
-    # from a small literal, and level pairs drawn from them.
+    # from a small literal, and level pairs drawn from them. A context
+    # whose added bound is no level does not type, and there the level
+    # search says no to every pair.
     outcomes = {"a": 0, "b": 0, "climbed": 0, "none": 0}
+    untyped = 0
     for seed in range(500):
         rng = random.Random(seed)
         ctx = harness.gen_context(rng, domain)
         if rng.random() < 0.5:
             ctx += (LevelLt(_random_level(rng, ctx, domain)),)
         old, new = TypeChecker(domain), TypeChecker(domain)
+        typed = bool(check_context(ctx, domain))
         for _ in range(4):
             a, b = _random_level(rng, ctx, domain), _random_level(rng, ctx, domain)
             want = _join_outcome(_join_by_full_climbs, old, ctx, a, b)
             got = _join_outcome(TypeChecker._join_levels, new, ctx, a, b)
             assert got == want, (ctx, a, b)
+            if not typed:
+                assert not new.level_below(ctx, a, b), (ctx, a, b)
+                untyped += 1
             if isinstance(want, str):
                 outcomes["none"] += 1
             else:
                 outcomes["a" if want == a else "b" if want == b else "climbed"] += 1
     assert all(n >= 20 for n in outcomes.values()), outcomes
+    assert untyped >= 20, untyped  # pairs in contexts that do not type
 
 
 @pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)

@@ -27,7 +27,6 @@ from ulevels.harness import (
     broken_substitution,
     gen_case,
     gen_raw,
-    gen_well_typed,
     run_suite,
     rules_in,
     shrink_term,
@@ -46,9 +45,14 @@ CFG = GenConfig(seed=11, cases=120)
 # Generation
 
 
+def _cases(cfg: GenConfig, closed: bool = False):
+    """Cases 0 to ``cfg.cases - 1`` of ``cfg``, generated one at a time."""
+    return (gen_case(cfg, i, closed=closed) for i in range(cfg.cases))
+
+
 def test_generated_cases_carry_valid_derivations():
     domain = domain_named(CFG.domain_name)
-    for case in gen_well_typed(CFG):
+    for case in _cases(CFG):
         report = check_derivation(case.derivation, domain)
         assert report.ok, report.errors
         assert case.derivation.term == case.term
@@ -72,7 +76,7 @@ def test_generated_derivations_equal_a_fresh_check():
     # gen_case types a whole case with one memoizing checker; the tree
     # it emits must be the one a fresh checker emits for the judgment.
     domain = domain_named(CFG.domain_name)
-    for case in gen_well_typed(CFG):
+    for case in _cases(CFG):
         assert check_derivation(case.derivation, domain, CFG.fuel).ok
         fresh = check(case.ctx, case.term, case.ty, domain, CFG.fuel)
         assert _tree_digest(case.derivation, {}) == _tree_digest(fresh.derivation, {})
@@ -132,19 +136,19 @@ def test_checker_returns_the_memoized_inference():
 
 
 def test_closed_generation_has_empty_contexts():
-    for case in gen_well_typed(GenConfig(seed=3, cases=60), closed=True):
+    for case in _cases(GenConfig(seed=3, cases=60), closed=True):
         assert case.ctx == ()
 
 
 def test_generation_is_deterministic():
-    a = [(c.ctx, c.term, c.ty) for c in gen_well_typed(CFG)]
-    b = [(c.ctx, c.term, c.ty) for c in gen_well_typed(CFG)]
+    a = [(c.ctx, c.term, c.ty) for c in _cases(CFG)]
+    b = [(c.ctx, c.term, c.ty) for c in _cases(CFG)]
     assert a == b
 
 
 def test_distinct_seeds_give_distinct_streams():
-    a = [c.term for c in gen_well_typed(GenConfig(seed=1, cases=40))]
-    b = [c.term for c in gen_well_typed(GenConfig(seed=2, cases=40))]
+    a = [c.term for c in _cases(GenConfig(seed=1, cases=40))]
+    b = [c.term for c in _cases(GenConfig(seed=2, cases=40))]
     assert a != b
 
 
@@ -171,7 +175,7 @@ def _generator_tables(monkeypatch) -> dict[tuple, str]:
         return draw(rng, options)
 
     monkeypatch.setattr(harness, "_weighted", recorded)
-    for _ in gen_well_typed(GenConfig(seed=11, cases=200)):
+    for _ in _cases(GenConfig(seed=11, cases=200)):
         pass
     monkeypatch.undo()
     return tables
@@ -205,7 +209,7 @@ def test_generators_draw_nothing_through_random_bounded_draws(monkeypatch):
         for name in ("randrange", "choice", "randint"):
             m.setattr(random.Random, name, slow_path(name))
         for closed in (False, True):
-            assert sum(1 for _ in gen_well_typed(cfg, closed)) == cfg.cases
+            assert sum(1 for _ in _cases(cfg, closed)) == cfg.cases
         for i in range(cfg.cases):
             gen_raw(harness._rng_for(cfg, i), cfg.raw_size)
         for suite in SUITES:
@@ -239,7 +243,7 @@ def test_generators_leave_the_pinned_stream_states(monkeypatch):
 
     monkeypatch.setattr(harness, "_rng_for", recorded)
     for closed in (False, True):
-        for _ in gen_well_typed(cfg, closed):
+        for _ in _cases(cfg, closed):
             h.update(repr(rngs.pop().getstate()).encode())
     monkeypatch.undo()
     for i in range(cfg.cases):
@@ -415,7 +419,7 @@ PINNED_DERIVATIONS = {"nat-omega": "99c06261a2db0cee", "nat": "50cbabf8781c0cd6"
 @pytest.mark.parametrize("domain_name", sorted(PINNED_DERIVATIONS))
 def test_emitted_derivations_are_pinned(domain_name):
     h = hashlib.sha256()
-    for case in gen_well_typed(GenConfig(seed=13, cases=300, domain_name=domain_name)):
+    for case in _cases(GenConfig(seed=13, cases=300, domain_name=domain_name)):
         h.update(_tree_digest(case.derivation, {}))
     assert h.hexdigest()[:16] == PINNED_DERIVATIONS[domain_name]
 

@@ -15,6 +15,7 @@ from ulevels.levels import (
     NAT,
     NAT_OMEGA,
     Finite,
+    LevelDomain,
     LevelSyntaxError,
     OmegaPlus,
     _key,
@@ -80,6 +81,8 @@ def test_lt_agrees_with_the_key_order_within_and_across_tiers():
 def test_lt_rejects_a_non_level(a, b):
     with pytest.raises(TypeError, match="Unexpected level value"):
         NAT_OMEGA.lt(a, b)
+    with pytest.raises(TypeError, match="Unexpected level value"):
+        NAT_OMEGA.format_literal(b)
 
 
 @given(level_values)
@@ -167,6 +170,8 @@ def test_membership():
     assert NAT.contains(Finite(5))
     assert not NAT.contains(OmegaPlus(0))
     assert NAT_OMEGA.contains(OmegaPlus(3))
+    with pytest.raises(NotImplementedError):
+        LevelDomain().contains(Finite(5))
 
 
 def test_zero_and_sampling_stay_in_domain():
@@ -178,6 +183,8 @@ def test_zero_and_sampling_stay_in_domain():
         below = NAT_OMEGA.sample_below(rng, OmegaPlus(2))
         assert below is not None and NAT_OMEGA.lt(below, OmegaPlus(2))
     assert NAT.sample_below(rng, Finite(0)) is None
+    with pytest.raises(NotImplementedError):
+        LevelDomain().sample(rng)
     assert NAT_OMEGA.sample_below(rng, Finite(0)) is None
     with pytest.raises(TypeError, match="^value outside nat domain: OmegaPlus"):
         NAT.sample_below(rng, OmegaPlus(0))

@@ -217,6 +217,11 @@ def test_unknown_identifier():
         rt("fun (x : U 0) . missing")
 
 
+def test_resolve_rejects_a_malformed_tree():
+    with pytest.raises(SurfaceError, match="malformed surface tree: \\('bogus',\\)"):
+        resolve(("bogus",))
+
+
 def test_binderless_pi_rejected():
     with pytest.raises(SurfaceError):
         body_tree("Pi . U 0")
@@ -384,6 +389,12 @@ def test_pretty_parenthesizes_arrow_domains():
 def test_pretty_level_literals():
     assert pretty(Lvl(OmegaPlus(4))) == "omega+4"
     assert pretty(Lvl(Finite(0))) == "0"
+
+
+def test_pretty_rejects_a_non_term():
+    # A surface tree is not a term; None alone prints, as ``-``.
+    with pytest.raises(TypeError, match="Unexpected term in pretty"):
+        pretty(body_tree("Bot"))
 
 
 @settings(max_examples=300, deadline=None)
