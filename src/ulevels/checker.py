@@ -12,10 +12,10 @@ against it (every acceptance carries a derivation that validates) but
 makes no completeness claim;
 transitivity and cumulativity are not syntax directed, so it decides
 ``a : Level< b`` with one bounded search that normalizes, climbs the
-bounds typing gives above ``a`` up to the first literal, a capped
-number of times, and at each level
-compares with ``b``, compares literals, and walks the context-declared
-bounds. The same search answers ``level_below``, builds the
+bounds typing gives above ``a`` up to the first literal, with a capped
+number of steps from levels that are not variables, compares each
+level with ``b``, and compares the literal the climb ends at with
+``b``. The same search answers ``level_below``, builds the
 derivation, and supplies the levels that joining and strengthening
 universes climb. ``level_lt_check`` gives its answer once ``lo`` types
 as a level.
@@ -694,10 +694,10 @@ class LevelOrder:
     context declares, compared by ``==``. A normalized entry x : Level< b
     gives the edge x -> b; literals step as ``_lvl_holds`` allows.
 
-    Paths witness chains of the transitivity rule. This is the last
-    test the checker's one level search (``TypeChecker._level_trail``)
-    makes at each level it climbs; a miss here is not proof of
-    underivability, since bounds also come from typing.
+    Nothing in the package builds one: the checker's one level search is
+    ``TypeChecker._level_trail``, which follows the bounds typing gives.
+    The class is kept because the benchmark's tracer
+    (``perfbench/tracing.py``) patches its ``__init__`` to count builds.
     """
 
     def __init__(self, ctx: Context, domain: LevelDomain, fuel: int = DEFAULT_FUEL):
@@ -766,11 +766,16 @@ class TypeChecker:
     ``_conv`` decides conversion on memoized normal forms; the validator
     alone calls ``reduction.convertible``.
 
-    A checker is a cache scope: it keeps the derivation of every context,
-    every successful inference and normal form, and the level order of
-    every context it has seen, so judgments that share subterms should
-    share one checker. Each cached value depends only on the domain, the
-    fuel and its key; failures are never cached. The type of a level
+    It normalizes only terms it has typed: ``check`` types the expected
+    type first, and the ``fun`` arm types the annotation before it
+    compares it with the domain. So UNDECIDED comes only from well-typed
+    terms whose normalization outlasts the fuel (or the recursion limit).
+
+    A checker is a cache scope: it keeps the derivation of every context
+    and every successful inference and normal form it has seen, so
+    judgments that share subterms should share one checker. Each cached
+    value depends only on the domain, the fuel and its key; failures are
+    never cached. The type of a level
     literal is wider: it is kept per domain object (``_literal_type``)
     and shared by every checker of that domain, so a domain variant must
     be a domain object of its own; patching ``LevelDomain`` methods after
@@ -783,7 +788,6 @@ class TypeChecker:
         self._ctx_cache: dict[Context, Derivation] = {}
         self._infer_cache: dict[tuple[Context, Term], tuple[Term, Derivation]] = {}
         self._norm_cache: dict[Term, Term] = {}
-        self._orders: dict[Context, LevelOrder] = {}
         self._zero = Lvl(domain.zero())
 
     # -- small utilities
@@ -810,12 +814,6 @@ class TypeChecker:
         ``reduction.convertible`` (the validator's) says YES: well-typed
         types normalize, so no accepted judgment contains such a pair."""
         return a == b or self._norm(a) == self._norm(b)
-
-    def _order(self, ctx: Context) -> LevelOrder:
-        order = self._orders.get(ctx)
-        if order is None:
-            order = self._orders[ctx] = LevelOrder(ctx, self.domain, self.fuel)
-        return order
 
     # -- context judgments
 
@@ -876,13 +874,19 @@ class TypeChecker:
     def _climb(self, ctx: Context, k: Term) -> Iterator[Term]:
         """``k`` normalized, then the bound that typing gives each level
         before it (``infer_level``), normalized, up to the first literal:
-        above a literal the ``Lvl`` rule gives only the next literal. At
-        most CLIMB_CAP steps, stopping at a level that does not type."""
+        above a literal the ``Lvl`` rule gives only the next literal.
+        Stops at a level that does not type, or after CLIMB_CAP steps
+        from levels that are not variables. Variable steps go uncounted:
+        in a typed context a variable's bound mentions only variables
+        declared before it, so ``len(ctx)`` bounds a run of them."""
         cur = self._norm(k)
         yield cur
-        for _ in range(CLIMB_CAP):
-            if isinstance(cur, Lvl):
-                return
+        steps = 0
+        while not isinstance(cur, Lvl):
+            if not isinstance(cur, Var):
+                if steps == CLIMB_CAP:
+                    return
+                steps += 1
             try:
                 bound, _ = self.infer_level(ctx, cur)
             except TypingError:
@@ -890,33 +894,25 @@ class TypeChecker:
             cur = self._norm(bound)
             yield cur
 
-    def _level_trail(
-        self, ctx: Context, a: Term, b: Term
-    ) -> tuple[list[Term], list[Term] | None] | None:
-        """The level search: how ``a : Level< b`` is derivable in the
-        typed context ``ctx``, or None.
+    def _level_trail(self, ctx: Context, a: Term, b: Term) -> list[Term] | None:
+        """The level search: the levels from ``a`` to ``b`` along which
+        ``a : Level< b`` is derivable in the typed context ``ctx``, or
+        None.
 
-        At each level of ``_climb(ctx, a)`` it tries, in order: (below
-        the first level) whether the level is ``b``; whether both are
-        literals ``_lvl_holds`` orders; a ``LevelOrder`` path to ``b``.
-        The answer is the levels climbed and the hops of the decision
-        that ended the search, or None for the hops when the last level
-        climbed is ``b``. The climb ends at its first literal, where the
-        search decides."""
+        The levels are those of ``_climb(ctx, a)`` up to the first one
+        past ``a`` that is ``b``. Failing that, where the climb ends at a
+        literal that ``_lvl_holds`` puts below a literal ``b``, they are
+        the whole climb and then ``b``."""
         nb = self._norm(b)
         levels: list[Term] = []
         for cur in self._climb(ctx, a):
             # Both are normal forms, so convertible means equal.
             if levels and cur == nb:
-                return levels + [cur], None
+                return levels + [cur]
             levels.append(cur)
-            if isinstance(cur, Lvl):
-                if isinstance(nb, Lvl) and _lvl_holds(self.domain, cur.value, nb.value):
-                    return levels, [cur, nb]
-                return None
-            hops = self._order(ctx).path(cur, nb)
-            if hops is not None:
-                return levels, hops
+        top = levels[-1]
+        if type(top) is type(nb) is Lvl and _lvl_holds(self.domain, top.value, nb.value):
+            return levels + [nb]
         return None
 
     def level_below(self, ctx: Context, a: Term, b: Term) -> bool:
@@ -928,35 +924,25 @@ class TypeChecker:
             return False
         return self._level_trail(ctx, a, b) is not None
 
-    def _edge_derivation(self, ctx: Context, lo: Term, hi: Term) -> Derivation:
-        """Derivation of lo : Level< hi for one hop the search took: the
-        declared bound of the variable ``lo`` (its inferred, shared
-        ``Var`` node), or the literal ``lo`` below the literal ``hi``,
-        which the caller has compared."""
-        if isinstance(lo, Var):
-            return self._conv_to(self.infer(ctx, lo)[1], LevelLt(hi))
-        return Derivation("Lvl", ctx, lo, LevelLt(hi), (self.ctx_derivation(ctx),))
+    def _step(self, ctx: Context, lo: Term, hi: Term) -> Derivation:
+        """Derivation of lo : Level< hi for one step of a trail: the
+        ``Lvl`` rule for a literal ``lo`` below the literal ``hi``, which
+        the caller has compared; else ``lo``'s inferred type, whose bound
+        is ``hi``, converted to ``Level< hi``."""
+        if isinstance(lo, Lvl):
+            return Derivation("Lvl", ctx, lo, LevelLt(hi), (self.ctx_derivation(ctx),))
+        return self._conv_to(self.infer_level(ctx, lo)[1], LevelLt(hi))
 
     def _derive_level_below(self, ctx: Context, a: Term, b: Term) -> Derivation:
         """Derivation of a : Level< b along the trail of the level search:
-        each climb a Trans over the inferred bound, then the hops as a
-        chain of Trans. ``a`` and ``b`` should be normalized; raises
-        TypingError when the search finds nothing."""
+        its steps as one right-nested chain of Trans. ``a`` and ``b``
+        should be normalized; raises TypingError when the search finds
+        nothing."""
         trail = self._level_trail(ctx, a, b)
         if trail is None:
             raise self._not_below(a, b)
-        levels, hops = trail
-        climbs = [
-            self._conv_to(self.infer_level(ctx, lo)[1], LevelLt(hi))
-            for lo, hi in zip(levels, levels[1:])
-        ]
-        if hops is None:
-            d = climbs.pop()
-        else:
-            d = self._edge_derivation(ctx, hops[0], hops[1])
-            for nxt in hops[2:]:
-                d = _trans(d, self._edge_derivation(ctx, d.ty.bound, nxt))
-        for d_lo in reversed(climbs):
+        *steps, d = [self._step(ctx, lo, hi) for lo, hi in zip(trail, trail[1:])]
+        for d_lo in reversed(steps):
             d = _trans(d_lo, d)
         return d
 
@@ -1036,7 +1022,8 @@ class TypeChecker:
         def nth(k: int) -> Term:
             return Lvl(self.domain.nth_above(first.value, k))
 
-        # The climb and the tail take at most CLIMB_CAP steps in all.
+        # The tail takes the steps the climb left of CLIMB_CAP, none where
+        # the climb's uncounted variable steps took more.
         tail = range(1, CLIMB_CAP + 2 - len(levels))
         i = bisect_left(tail, True, key=lambda k: self._level_le(ctx, hi, nth(k)))
         return nth(tail[i]) if i < len(tail) else None
@@ -1145,7 +1132,12 @@ class TypeChecker:
         """Accepted with a derivation, rejected with a diagnostic, or
         undecided when the fuel or the interpreter's recursion limit
         (input nested too deeply) gave out first."""
-        return _result(self._check, ctx, t, expected)
+
+        def derive() -> Derivation:
+            self.infer_universe(ctx, expected)
+            return self._check(ctx, t, expected)
+
+        return _result(derive)
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         """Derivation of ``t : expected``: an introduction node at the head
@@ -1182,15 +1174,15 @@ class TypeChecker:
                 _literal_type(self.domain, v)
                 if not _lvl_holds(self.domain, v, b):
                     raise self._not_below(t, nb)
-                return self._conv_to(self._edge_derivation(ctx, t, nb), expected)
+                return self._conv_to(self._step(ctx, t, nb), expected)
         elif cls is Lam and head_cls is Pi:
             ann, body = t
             dom, cod = head
+            _, d_ann = self.infer_universe(ctx, ann)
             if not self._conv(ann, dom):
                 raise TypingError(
                     f"domain annotation mismatch: {pretty(ann)} vs {pretty(dom)}"
                 )
-            _, d_ann = self.infer_universe(ctx, ann)
             d_body = self._check(subst.ctx_extend(ctx, ann), body, cod)
             return self._conv_to(self._lam(t, d_ann, d_body), expected)
         return self._subsume(self.infer(ctx, t)[1], expected)
@@ -1369,13 +1361,14 @@ def search_derivation(
     the checker misses, because the checker's level relation is
     transitive. Checking ``s : Level< n`` infers ``s : Level< b`` and
     climbs from ``b``; each climb step goes to the current level's
-    inferred bound, ``LevelOrder.path`` follows the same bounds of
-    variables, and at the climb's first literal the domain's order
-    decides. So if the climb from ``b`` reaches ``m``, and ``m``'s bound
-    climbs on to ``n``, the climb from ``b`` reaches ``n`` too. Checking
-    ``s : U n`` asks the same relation of ``s``'s universe index, or of
-    its parts. The one exception is a chain longer than ``CLIMB_CAP``
-    non-variable steps.
+    inferred bound, which depends on that level alone, and at the
+    climb's first literal the domain's order decides. So if the climb
+    from ``b`` reaches ``m``, it goes on as the climb from ``m`` does,
+    and reaches ``n`` where that one does; if it ends at a literal below
+    the literal ``m``, that literal is below every literal above ``m``.
+    Checking ``s : U n`` asks the same relation of ``s``'s universe
+    index, or of its parts. The one exception is a chain longer than
+    ``CLIMB_CAP`` non-variable steps.
     """
     res = TypeChecker(domain, fuel).check(ctx, t, ty)
     if res and check_derivation(res.derivation, domain, fuel).ok:

@@ -356,11 +356,16 @@ def test_a_literal_with_no_level_above_it_is_rejected():
     assert "Lvl: level outside the domain" in check_derivation(claim, Fin4()).errors[0]
 
 
-def test_a_literal_below_the_top_still_types():
+def test_check_rejects_an_expected_type_bounded_by_the_top():
+    # ``check`` types the expected type first, and the LevelLt rule types
+    # its bound as a level: ``Level< 3`` does not type in fin4, since 3
+    # has no level above it. ``infer`` still gives 2 that type, whose
+    # derivation validates; regularity fails there.
     fin4 = Fin4()
     tc = TypeChecker(fin4)
     r = tc.check((), Lvl(Finite(2)), LevelLt(Lvl(Finite(3))))
-    assert r and check_derivation(r.derivation, fin4).ok
+    assert r.verdict is Verdict.REJECTED
+    assert r.message == "level literal 3 has no level above it in domain fin4"
     ty, d = tc.infer((), Lvl(Finite(2)))
     assert ty == LevelLt(Lvl(Finite(3))) and check_derivation(d, fin4).ok
 
@@ -448,14 +453,16 @@ def test_a_rejected_literal_leaves_no_entry():
     [
         (NAT, OMEGA, LevelLt(Lvl(OmegaPlus(1))), "level literal outside domain nat: omega"),
         (NAT, Lvl(Finite(0)), LevelLt(OMEGA), "level literal outside domain nat: omega"),
-        (Fin4(), Lvl(Finite(3)), LevelLt(Lvl(Finite(4))), "3 has no level above it"),
-        (Fin4(), U(3), U(4), "3 has no level above it"),
+        (Fin4(), Lvl(Finite(3)), LevelLt(Lvl(Finite(4))), "outside domain fin4: 4"),
+        (Fin4(), U(3), U(4), "outside domain fin4: 4"),
     ],
     ids=["omega<omega+1 in nat", "0<omega in nat", "3<4 in fin4", "U3:U4 in fin4"],
 )
 def test_a_checked_literal_must_be_in_the_domain(domain, t, expected, message):
     # The validator's Lvl rule refutes each of these; check mode used to
     # compare the two literals without asking the domain about either.
+    # In fin4 the expected type, typed first, already names a level
+    # outside the domain.
     r = TypeChecker(domain).check((), t, expected)
     assert r.verdict is Verdict.REJECTED and message in r.message
 
@@ -581,18 +588,17 @@ def _random_level(rng, ctx, domain):
 
 @pytest.mark.parametrize("root", [5, 66, 67, 68])
 def test_join_climbs_the_literal_tail_to_its_cap(root):
-    # 70 level variables in a chain below the literal ``root``: the
-    # climb from the last one stops at its cap before any literal, but
-    # the context paths reach ``root``, so only the literal climb from 3
-    # (3, 4, ..., 3 + CLIMB_CAP) can find the join.
+    # 70 level variables in a chain below the literal ``root``. The
+    # literal climb from 3 (3, 4, ..., 3 + CLIMB_CAP) finds the join
+    # where ``root`` is on it; past it, the climb from the last variable
+    # does, since its 70 variable steps do not count towards the cap.
     ctx = (LevelLt(Lvl(Finite(root))),) + (LevelLt(Var(0)),) * 69
     a, b = Lvl(Finite(3)), Var(0)
     want = _join_outcome(_join_by_full_climbs, TypeChecker(), ctx, a, b)
     assert _join_outcome(TypeChecker._join_levels, TypeChecker(), ctx, a, b) == want
-    if root <= 3 + checker_mod.CLIMB_CAP:
-        assert want == Lvl(Finite(root))
-    else:
-        assert want.startswith("TypingError: no common universe")
+    assert want == Lvl(Finite(root))
+    if root > 3 + checker_mod.CLIMB_CAP:
+        assert list(TypeChecker()._climb(ctx, b))[-1] == want
 
 
 @pytest.mark.parametrize("domain", [NAT_OMEGA, NAT], ids=lambda d: d.name)
@@ -663,24 +669,32 @@ def test_level_below_iff_derivation_validates(domain):
     assert answers[True] and answers[False], answers
 
 
-def test_checker_builds_each_level_order_once(monkeypatch):
-    builds = []
-    build = checker_mod.LevelOrder.__init__
+def test_variable_steps_do_not_count_towards_the_climb_cap(monkeypatch):
+    # Five level variables chained below 9: from the last one the climb
+    # takes five variable steps, more than the cap, and reaches 9.
+    monkeypatch.setattr(checker_mod, "CLIMB_CAP", 2)
+    ctx = (LevelLt(Lvl(Finite(9))),) + (LevelLt(Var(0)),) * 4
+    climb = list(TypeChecker()._climb(ctx, Var(0)))
+    assert climb == [Var(ix) for ix in range(5)] + [Lvl(Finite(9))]
+    for bound in (9, 10):
+        accepted(ctx, Var(0), LevelLt(Lvl(Finite(bound))))
 
-    def counted(self, ctx, *args):
-        builds.append(ctx)
-        build(self, ctx, *args)
 
-    monkeypatch.setattr(checker_mod.LevelOrder, "__init__", counted)
-    outer = (LevelLt(Lvl(Finite(5))),)
-    inner = outer + (LevelLt(Var(0)),)
+def test_the_climb_stops_at_its_cap_of_non_variable_steps(monkeypatch):
+    # In (h : Bot), a chain of levels each bounded by the next, below 5:
+    # l0 : Level< l1, ..., l3 : Level< 5, every step from an ``absurd``.
+    chain = [Lvl(Finite(5))]
+    for _ in range(4):
+        chain.insert(0, Absurd(LevelLt(chain[0]), Var(0)))
+    ctx, l0, top = (Mty(),), chain[0], LevelLt(chain[-1])
+    assert list(TypeChecker()._climb(ctx, l0)) == chain
+    accepted(ctx, l0, top)
+    monkeypatch.setattr(checker_mod, "CLIMB_CAP", 2)
     tc = TypeChecker()
-    for _ in range(3):
-        assert tc.level_below(outer, Var(0), Lvl(Finite(7)))
-        assert tc.level_below(inner, Var(0), Lvl(Finite(9)))
-        assert tc.check(inner, Var(0), LevelLt(Lvl(Finite(9))))
-        assert tc.check(inner, Var(1), LevelLt(Lvl(Finite(6))))
-    assert sorted(builds, key=len) == [outer, inner]
+    assert list(tc._climb(ctx, l0)) == chain[:3]
+    assert not tc.level_below(ctx, l0, chain[-1])
+    why = f"level bound not established: {checker_mod.pretty(chain[1])} below 5"
+    assert rejected(ctx, l0, top) == why
 
 
 def test_checker_memoizes_normal_forms_but_not_fuel_errors(monkeypatch):
@@ -847,6 +861,17 @@ def test_the_typing_core_never_calls_convertible(monkeypatch):
     assert len(derivations) == 25 + 2 * 150  # accepted definitions, cases
     for d, domain in derivations:
         assert check_derivation(d, domain).ok
+
+
+def test_the_checker_never_builds_a_level_order(monkeypatch):
+    # The level search follows the climb alone; ``LevelOrder`` is kept
+    # for the benchmark's tracer only.
+    def refused(self, *args):
+        raise AssertionError("the checker built a LevelOrder")
+
+    monkeypatch.setattr(checker_mod.LevelOrder, "__init__", refused)
+    verdicts, derivations = _verdicts_and_derivations()
+    assert len(verdicts) == 38 + 2 * 150 and len(derivations) == 25 + 2 * 150
 
 
 def test_conv_still_runs_out_of_fuel_on_distinct_sides():
@@ -1024,9 +1049,14 @@ def test_context_with_ill_typed_entry_rejected():
     assert check_context((U(0), Var(0)))
 
 
-def test_undecided_when_the_expected_type_never_head_normalizes():
-    res = check((), Mty(), LOOP, fuel=20)
-    assert res.verdict is Verdict.UNDECIDED
+def test_undecided_only_when_the_fuel_runs_out_on_a_typed_type():
+    # The expected type is typed before it is normalized: LOOP does not
+    # type, so it is rejected however much fuel is given; a type that
+    # types but needs a step is undecided at fuel 0 only.
+    assert check((), Mty(), LOOP, fuel=20).verdict is Verdict.REJECTED
+    redex = App(Lam(U(1), Var(0)), U(0))
+    assert check((), Mty(), redex, fuel=0).verdict is Verdict.UNDECIDED
+    assert check((), Mty(), redex, fuel=1).verdict is Verdict.ACCEPTED
 
 
 def test_rejected_when_the_expected_universe_index_is_ill_typed():
