@@ -16,9 +16,11 @@ bounds typing gives above ``a`` up to the first literal, with a capped
 number of steps from levels that are not variables, compares each
 level with ``b``, and compares the literal the climb ends at with
 ``b``. The same search answers ``level_below``, builds the
-derivation, and supplies the levels that joining and strengthening
-universes climb. ``level_lt_check`` gives its answer once ``lo`` types
-as a level.
+derivation, check mode's literal against a literal included, and
+supplies the levels that joining and strengthening universes climb; a
+join looks at no level past either climb. ``level_below`` gives its
+answer once ``b`` types as a level, ``level_lt_check`` once ``lo`` does
+too.
 
 Three outcomes everywhere: accepted, rejected, and undecided (fuel ran
 out inside normalization). Rejections carry diagnostics.
@@ -29,7 +31,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
 
@@ -917,9 +918,11 @@ class TypeChecker:
 
     def level_below(self, ctx: Context, a: Term, b: Term) -> bool:
         """Whether the level search shows ``a : Level< b`` derivable;
-        sound, not complete. False in a context that does not type."""
+        sound, not complete. False where ``b`` does not type as a level
+        (so where the context does not type), which is found before
+        ``b`` is normalized."""
         try:
-            self.ctx_derivation(ctx)
+            self.infer_level(ctx, b)
         except TypingError:
             return False
         return self._level_trail(ctx, a, b) is not None
@@ -986,47 +989,32 @@ class TypeChecker:
 
     def _join_levels(self, ctx: Context, a: Term, b: Term) -> Term:
         """``b`` if ``a`` is below it, ``a`` if ``b`` is below it, else
-        the first level of ``a``'s climb above ``b``, else the first of
-        ``b``'s climb above ``a``."""
+        the first level of ``a``'s climb at or above ``b``, else the first
+        of ``b``'s climb at or above ``a``.
+
+        No literal past a climb's end is needed where the domain's order
+        is total. Say the first pass finds nothing, ``a``'s climb ends
+        at the literal ``A``, and a literal past ``A`` is at or above
+        ``b``. Then ``b``'s climb ends at a literal ``B``, above ``A``:
+        were ``B`` at or below ``A``, ``b`` would be below ``A``, which
+        the second test or the first pass finds. So ``a`` is below ``B``.
+        Where ``b`` is ``B``, the first test returns it; else the second
+        pass returns ``B``, as no earlier level of ``b``'s climb is above
+        ``a``: one that is no literal is above ``a`` only on ``a``'s
+        climb, where the first pass would have returned it."""
         if self._level_le(ctx, a, b):
             return b
         if self._level_le(ctx, b, a):
             return a
         for lo, hi in ((a, b), (b, a)):
-            cand = self._first_above(ctx, lo, hi)
-            if cand is not None:
-                return cand
+            # Every level is climbed before any is compared, so a climb
+            # that raises does so first.
+            for cand in list(self._climb(ctx, lo))[1:]:
+                if self._level_le(ctx, hi, cand):
+                    return cand
         raise TypingError(
             f"no common universe above {pretty(a)} and {pretty(b)}"
         )
-
-    def _first_above(self, ctx: Context, lo: Term, hi: Term) -> Term | None:
-        """The first level past ``lo`` at or above ``hi``: of
-        ``_climb(ctx, lo)``, then of the literals above the literal it
-        ends at; the caller has compared ``lo`` itself.
-
-        Above a literal ``first`` the ``Lvl`` rule's bounds are the next
-        literals of its tier, ``nth_above(first, k)``, and a level below
-        one literal is below every larger one. So that tail is searched
-        by bisection on ``k``."""
-        # Every level is climbed before any is compared, so a climb that
-        # raises does so first.
-        levels = list(self._climb(ctx, lo))
-        for cand in levels[1:]:
-            if self._level_le(ctx, hi, cand):
-                return cand
-        first = levels[-1]
-        if not isinstance(first, Lvl):
-            return None
-
-        def nth(k: int) -> Term:
-            return Lvl(self.domain.nth_above(first.value, k))
-
-        # The tail takes the steps the climb left of CLIMB_CAP, none where
-        # the climb's uncounted variable steps took more.
-        tail = range(1, CLIMB_CAP + 2 - len(levels))
-        i = bisect_left(tail, True, key=lambda k: self._level_le(ctx, hi, nth(k)))
-        return nth(tail[i]) if i < len(tail) else None
 
     def _strengthen_level(self, ctx2: Context, k: Term) -> Term:
         """Rewrite a level valid under one extra binder into one that
@@ -1169,12 +1157,9 @@ class TypeChecker:
             nb = self._norm(bound)
             if type(nb) is Lvl:
                 # ``_literal_type`` rejects a subject the domain cannot
-                # type; ``_lvl_holds`` is the Lvl rule's side condition.
-                (v,), (b,) = t, nb
-                _literal_type(self.domain, v)
-                if not _lvl_holds(self.domain, v, b):
-                    raise self._not_below(t, nb)
-                return self._conv_to(self._step(ctx, t, nb), expected)
+                # type; the level search asks the Lvl rule's side condition.
+                _literal_type(self.domain, t[0])
+                return self._conv_to(self._derive_level_below(ctx, t, nb), expected)
         elif cls is Lam and head_cls is Pi:
             ann, body = t
             dom, cod = head

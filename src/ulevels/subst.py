@@ -5,13 +5,16 @@ indices and renames every later index ``len(prefix) + j`` to
 ``Var(shift + j)``. Composition stays in this representation, so the
 usual simultaneous-substitution laws can be checked directly.
 
-``apply`` counts the binders it passes and shifts an image once, where
-the variable occurs, by that count. Every traversal here returns its
+``apply`` and ``strengthen`` share one binder walk. ``apply`` counts
+the binders it passes and shifts an image once, where the variable
+occurs, by that count. Every traversal here returns its
 argument itself when no field changed, so unchanged subterms are
 shared, not copied.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .node import Node
 from .terms import Context, Term, Var, binders
@@ -68,28 +71,40 @@ def lift(s: Subst) -> Subst:
 
 
 def apply(s: Subst, term: Term) -> Term:
-    return _apply(s, term, 0)
+    def image(var: Var, depth: int) -> Term:
+        # An image moves out by the binders passed; a variable whose
+        # image is itself comes back as is.
+        out = s.image(var[0] - depth)
+        if depth:
+            out = shift(out, depth, 0)
+        return var if out == var else out
+
+    return _walk(term, 0, image)
 
 
-def _apply(s: Subst, term: Term, depth: int) -> Term:
-    """``s`` applied to ``term`` under ``depth`` binders: indices below
-    ``depth`` are bound here, and an image moves out by ``depth``. A
-    variable whose image is itself comes back as is."""
+def _walk(
+    term: Term, depth: int, at_var: Callable[[Var, int], Term | None]
+) -> Term | None:
+    """``term`` under ``depth`` binders, with each variable free in it
+    replaced by ``at_var(var, d)``, ``d`` counting the binders passed
+    (indices below ``d`` are bound there); None as soon as ``at_var``
+    gives None."""
     binds = binders(term)
     if binds:
-        first = _apply(s, term[0], depth + binds[0])
+        first = _walk(term[0], depth + binds[0], at_var)
+        if first is None:
+            return None
         if len(binds) == 1:
             return term if first is term[0] else type(term)(first)
-        second = _apply(s, term[1], depth + binds[1])
+        second = _walk(term[1], depth + binds[1], at_var)
+        if second is None:
+            return None
         if first is term[0] and second is term[1]:
             return term
         return type(term)(first, second)
-    if type(term) is not Var or term[0] < depth:
-        return term
-    out = s.image(term[0] - depth)
-    if depth:
-        out = shift(out, depth, 0)
-    return term if out == term else out
+    if type(term) is Var and term[0] >= depth:
+        return at_var(term, depth)
+    return term
 
 
 def compose(outer: Subst, inner: Subst) -> Subst:
@@ -117,22 +132,11 @@ def subst1(body: Term, arg: Term) -> Term:
 def strengthen(term: Term, depth: int = 0) -> Term | None:
     """Remove the binder at ``depth``: None if ``Var(depth)`` occurs free,
     otherwise the term with indices above ``depth`` decremented."""
-    binds = binders(term)
-    if binds:
-        first = strengthen(term[0], depth + binds[0])
-        if first is None:
-            return None
-        if len(binds) == 1:
-            return term if first is term[0] else type(term)(first)
-        second = strengthen(term[1], depth + binds[1])
-        if second is None:
-            return None
-        if first is term[0] and second is term[1]:
-            return term
-        return type(term)(first, second)
-    if type(term) is Var and term[0] >= depth:
-        return None if term[0] == depth else Var(term[0] - 1)
-    return term
+    return _walk(term, depth, _drop)
+
+
+def _drop(var: Var, depth: int) -> Var | None:
+    return None if var[0] == depth else Var(var[0] - 1)
 
 
 def ctx_extend(ctx: Context, ty: Term) -> Context:
