@@ -41,7 +41,6 @@ from .reduction import (
     DEFAULT_FUEL,
     convertible,
     pars,
-    whnf,
 )
 from .terms import (
     Absurd,
@@ -765,7 +764,10 @@ class TypeChecker:
     the term's exact class, as ``terms.children`` does: a subclass of a
     term class, or a non-term, raises TypeError. Terms compare by ``==``.
     ``_conv`` decides conversion on memoized normal forms; the validator
-    alone calls ``reduction.convertible``.
+    alone calls ``reduction.convertible``. Heads come from the same memo
+    (``_norm``): ``_check`` reads the expected type's, and
+    ``_infer_head`` normalizes a type that lacks the wanted ``U``,
+    ``Level<`` or Pi. So the fuel counts one unit, ``pars`` developments.
 
     It normalizes only terms it has typed: ``check`` types the expected
     type first, and the ``fun`` arm types the annotation before it
@@ -800,12 +802,6 @@ class TypeChecker:
             if not done:
                 raise FuelError(f"normalization ran out of fuel on {pretty(t)}")
             self._norm_cache[t] = out
-        return out
-
-    def _whnf(self, t: Term) -> Term:
-        out, done = whnf(t, self.fuel)
-        if not done:
-            raise FuelError(f"head normalization ran out of fuel on {pretty(t)}")
         return out
 
     def _conv(self, a: Term, b: Term) -> bool:
@@ -856,21 +852,21 @@ class TypeChecker:
     def _infer_head(
         self, ctx: Context, t: Term, head: type, what: str
     ) -> tuple[Term, Derivation]:
-        """Type ``t`` at a ``Univ`` or ``LevelLt`` (``head``): its field, and
-        the derivation."""
+        """Type ``t`` at a ``Univ``, ``LevelLt`` or ``Pi`` (``head``): that
+        type, normalized unless it has the head already, and the
+        derivation. A rejection reads ``what: t has type ...``."""
         ty, d = self.infer(ctx, t)
         if not isinstance(ty, head):
-            n = self._whnf(ty)
+            n = self._norm(ty)
             if not isinstance(n, head):
-                raise TypingError(
-                    f"not a {what}: {pretty(t)} has type {pretty(ty)}"
-                )
+                raise TypingError(f"{what}: {pretty(t)} has type {pretty(ty)}")
             ty, d = n, self._conv_to(d, n)
-        return ty[0], d
+        return ty, d
 
     def infer_level(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Type ``t`` as a level: a derivation of t : Level< bound."""
-        return self._infer_head(ctx, t, LevelLt, "level")
+        ty, d = self._infer_head(ctx, t, LevelLt, "not a level")
+        return ty[0], d
 
     def _climb(self, ctx: Context, k: Term) -> Iterator[Term]:
         """``k`` normalized, then the bound that typing gives each level
@@ -1032,7 +1028,8 @@ class TypeChecker:
 
     def infer_universe(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Type ``t`` as a type: a derivation of t : U k."""
-        return self._infer_head(ctx, t, Univ, "type")
+        ty, d = self._infer_head(ctx, t, Univ, "not a type")
+        return ty[0], d
 
     def infer(self, ctx: Context, t: Term) -> tuple[Term, Derivation]:
         """Synthesize a type and its derivation. Raises TypingError on
@@ -1089,18 +1086,12 @@ class TypeChecker:
             d = Derivation("Var", ctx, t, ty, (self.ctx_derivation(ctx),))
         elif cls is App:
             fn, arg = t
-            fn_ty, d_fn = self.infer(ctx, fn)
-            head = self._whnf(fn_ty)
-            if type(head) is not Pi:
-                raise TypingError(
-                    f"application of a non-function: {pretty(fn)} "
-                    f"has type {pretty(fn_ty)}"
-                )
-            d_fn2 = self._conv_to(d_fn, head)
-            dom, cod = head
+            (dom, cod), d_fn = self._infer_head(
+                ctx, fn, Pi, "application of a non-function"
+            )
             d_arg = self._premise(ctx, arg, dom, "argument mismatch")
             ty = subst.subst1(cod, arg)
-            d = Derivation("App", ctx, t, ty, (d_fn2, d_arg))
+            d = Derivation("App", ctx, t, ty, (d_fn, d_arg))
         elif cls is Absurd:
             ann, scrut = t
             _, d_ann = self.infer_universe(ctx, ann)
@@ -1129,11 +1120,11 @@ class TypeChecker:
 
     def _check(self, ctx: Context, t: Term, expected: Term) -> Derivation:
         """Derivation of ``t : expected``: an introduction node at the head
-        of ``expected`` where one applies (``U``, ``Level<``, ``Bot`` or
+        of ``expected``'s normal form where one applies (``U``, ``Level<``, ``Bot`` or
         Pi in a universe, a literal below a literal, ``fun`` at a Pi),
         else ``t`` inferred; then one subsumption step, ``_conv_to`` for
         the former and ``_subsume`` for the latter."""
-        head = self._whnf(expected)
+        head = self._norm(expected)
         cls, head_cls = type(t), type(head)
         if head_cls is Univ:
             (level,) = head
@@ -1153,13 +1144,13 @@ class TypeChecker:
                 d = Derivation("Pi", ctx, t, head, (d_dom, d_cod))
                 return self._conv_to(d, expected)
         elif cls is Lvl and head_cls is LevelLt:
+            # Parts of a normal form are normal.
             (bound,) = head
-            nb = self._norm(bound)
-            if type(nb) is Lvl:
+            if type(bound) is Lvl:
                 # ``_literal_type`` rejects a subject the domain cannot
                 # type; the level search asks the Lvl rule's side condition.
                 _literal_type(self.domain, t[0])
-                return self._conv_to(self._derive_level_below(ctx, t, nb), expected)
+                return self._conv_to(self._derive_level_below(ctx, t, bound), expected)
         elif cls is Lam and head_cls is Pi:
             ann, body = t
             dom, cod = head

@@ -18,7 +18,7 @@ import sys
 from .checker import Verdict, check, derivation_to_doc
 from .harness import GenConfig, SUITES, run_suite
 from .levels import DOMAINS, LevelSyntaxError
-from .reduction import DEFAULT_FUEL, EvalOutcome, cbn_eval, pars
+from .reduction import EvalOutcome, cbn_eval, pars
 from .surface import (
     SurfaceError,
     check_module,
@@ -96,14 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_derive, with_name=True)
     p_derive.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
+    gen = GenConfig()
     p_fuzz = sub.add_parser("fuzz", help="run a randomized property suite")
     p_fuzz.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_fuzz.add_argument("--cases", type=non_negative_int, default=200)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--max-size", type=non_negative_int, default=14)
-    p_fuzz.add_argument("--raw-size", type=non_negative_int, default=12)
-    p_fuzz.add_argument("--domain", choices=sorted(DOMAINS), default="nat-omega")
-    p_fuzz.add_argument("--fuel", type=non_negative_int, default=DEFAULT_FUEL)
+    p_fuzz.add_argument("--cases", type=non_negative_int, default=gen.cases)
+    p_fuzz.add_argument("--seed", type=int, default=gen.seed)
+    p_fuzz.add_argument("--max-size", type=non_negative_int, default=gen.max_size)
+    p_fuzz.add_argument("--raw-size", type=non_negative_int, default=gen.raw_size)
+    p_fuzz.add_argument("--domain", choices=sorted(DOMAINS), default=gen.domain_name)
+    p_fuzz.add_argument("--fuel", type=non_negative_int, default=gen.fuel)
     return parser
 
 

@@ -9,7 +9,9 @@ Conversion is joinability: normalize both sides as far as the fuel
 allows and compare. Running out of fuel is a third verdict, distinct
 from inequality, and callers must treat it as such. ``convertible`` is
 the validator's ``Conv`` relation; the type checker compares its own
-memoized normal forms instead.
+memoized normal forms instead, and reads every head it needs from them.
+Call-by-name (``whnf``, ``cbn_step``, ``cbn_eval``) serves evaluation
+alone.
 """
 
 from __future__ import annotations

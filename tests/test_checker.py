@@ -37,7 +37,7 @@ from ulevels.checker import (
 )
 from ulevels.levels import NAT, NAT_OMEGA, Finite, OmegaPlus
 from ulevels.reduction import Convertibility, convertible
-from ulevels.surface import check_module, parse
+from ulevels.surface import check_module, format_report, parse
 from ulevels.terms import (
     Absurd,
     App,
@@ -118,6 +118,34 @@ def test_infer_unbound_variable():
 def test_infer_non_function_application():
     with pytest.raises(TypingError, match="non-function"):
         infer((), App(Mty(), Mty()))
+
+
+# A context whose one entry is a type only after a beta step.
+BOT_REDEX = (App(Lam(U(1), Var(0)), Mty()),)
+
+
+@pytest.mark.parametrize(
+    "ctx, t, message",
+    [
+        ((), Pi(Lvl(Finite(0)), Mty()), "not a type: 0 has type Level< 1"),
+        ((), Univ(Mty()), "not a level: Bot has type U 0"),
+        ((), App(Mty(), Mty()), "application of a non-function: Bot has type U 0"),
+        (BOT_REDEX, Pi(Var(0), Mty()), "not a type: ?0 has type (fun (x : U 1) . x) Bot"),
+        (BOT_REDEX, Univ(Var(0)), "not a level: ?0 has type (fun (x : U 1) . x) Bot"),
+        (
+            BOT_REDEX,
+            App(Var(0), Mty()),
+            "application of a non-function: ?0 has type (fun (x : U 1) . x) Bot",
+        ),
+    ],
+    ids=["type", "level", "function", "type-redex", "level-redex", "function-redex"],
+)
+def test_head_rejections_name_the_inferred_type(ctx, t, message):
+    # A subject whose type lacks the wanted head, before or after
+    # normalization, is rejected with the type as inferred.
+    with pytest.raises(TypingError) as e:
+        infer(ctx, t)
+    assert str(e.value) == message
 
 
 def test_infer_rejects_omega_literal_in_nat_domain():
@@ -438,6 +466,48 @@ def test_every_accepted_type_has_a_universe(name):
         assert check_derivation(d, domain, cfg.fuel).ok, index
         heads[type(case.ty).__name__] += 1
     assert heads == REGULARITY[name]
+
+
+def test_the_checker_takes_no_call_by_name_step(monkeypatch):
+    # Heads come from the memoized normal form: with ``cbn_step``
+    # disabled, the corpus reports and generated derivations are as
+    # before.
+    from test_acceptance import EXPECTED_REPORTS
+
+    cfgs = [harness.GenConfig(seed=5, cases=150, domain_name=n) for n in ("nat", "nat-omega")]
+
+    def derivations():
+        return [
+            derivation_to_doc(harness.gen_case(cfg, i).derivation, cfg.domain)
+            for cfg in cfgs
+            for i in range(cfg.cases)
+        ]
+
+    before = derivations()
+
+    def no_step(term):
+        raise AssertionError(f"call-by-name step on {term!r}")
+
+    monkeypatch.setattr(reduction, "cbn_step", no_step)
+    for name, report in EXPECTED_REPORTS.items():
+        module = parse((CORPUS / name).read_text(encoding="utf-8"))
+        assert format_report(check_module(module)) == report, name
+    assert derivations() == before
+
+
+def test_a_redex_in_the_expected_type_needs_fuel():
+    # The expected type is normalized for its head, so at fuel 0 a
+    # beta-redex in it leaves the judgment undecided; one development
+    # decides it.
+    redex = App(Lam(U(1), Var(0)), Mty())
+    ty = Pi(Pi(redex, Mty()), U(0))
+    t = Lam(Pi(redex, Mty()), Mty())
+    res = check((), t, ty, fuel=0)
+    assert res.verdict is Verdict.UNDECIDED
+    assert res.message == (
+        "normalization ran out of fuel on ((fun (x : U 1) . x) Bot -> Bot) -> U 0"
+    )
+    accepted((), t, ty, fuel=1)
 
 
 class NextAboveSelf(levels.NatOmegaDomain):

@@ -17,6 +17,7 @@ import pytest
 from ulevels import cli
 from ulevels.checker import check_derivation, derivation_from_doc, derivation_to_doc
 from ulevels.cli import build_parser, run_cli
+from ulevels.harness import GenConfig
 from ulevels.reduction import EvalOutcome
 from ulevels.surface import module_settings, parse, resolve_defs
 
@@ -375,7 +376,7 @@ def test_derive_undecided_definition_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == (
-        "error: x: head normalization ran out of fuel on (fun (x : U 2) . x) (U 1)\n"
+        "error: x: normalization ran out of fuel on (fun (x : U 2) . x) (U 1)\n"
     )
 
 
@@ -390,6 +391,14 @@ def test_fuzz_runs_a_small_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "suite=diamond cases=40 failures=0" in out
+
+
+def test_fuzz_defaults_are_the_generator_defaults():
+    args = build_parser().parse_args(["fuzz", "--suite", "diamond"])
+    parsed = GenConfig(
+        args.seed, args.cases, args.max_size, args.raw_size, args.domain, args.fuel
+    )
+    assert parsed == GenConfig()
 
 
 def test_fuzz_requires_known_suite(capsys):
